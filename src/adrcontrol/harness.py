@@ -163,32 +163,37 @@ def _terminal_norm(grid, terminal):
     return math.sqrt(grid.h * float(np.sum(terminal**2)))
 
 
+def _write_levels(path, header, dt, labels, levels):
+    """Write the line "n,t,<label>,v" for every time level n and label.
+
+    ``levels[n]`` holds the values of level n in label order.  The label
+    part of each line is formatted once; each level is then formatted by
+    one ``%`` operation, with "n,t," spliced in front of every line.
+    ``"%.17g" % v`` and ``_fmt(v)`` give the same text for every double.
+    """
+    tail = "".join(f"%s{label},%.17g\n" for label in labels)
+    fields = [None] * (2 * len(labels))
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for n, values in enumerate(levels):
+            fields[0::2] = [f"{n},{_fmt(n * dt)},"] * len(labels)
+            fields[1::2] = values.tolist()
+            fh.write(tail % tuple(fields))
+
+
 def write_state_csv(path, problem, state):
     g = problem.grid
-    dt = g.dt
     x = grid_nodes(g)
-    interior = state.interior
-    with open(path, "w", newline="") as fh:
-        fh.write("n,t,j,x,y\n")
-        for n in range(g.N + 2):
-            t = _fmt(n * dt)
-            column = interior[:, n]
-            for j in range(g.H + 1):
-                fh.write(f"{n},{t},{j},{_fmt(x[j])},{_fmt(column[j])}\n")
+    labels = [f"{j},{_fmt(x[j])}" for j in range(g.H + 1)]
+    _write_levels(path, "n,t,j,x,y\n", g.dt, labels, state.interior.T)
 
 
 def write_controls_csv(path, problem, control):
     g = problem.grid
-    dt = g.dt
     x = grid_nodes(g)
     step = g.H // g.M
-    v = control.values
-    with open(path, "w", newline="") as fh:
-        fh.write("n,t,k,x_k,v\n")
-        for n in range(g.N + 1):
-            t = _fmt(n * dt)
-            for k in range(g.M + 1):
-                fh.write(f"{n},{t},{k},{_fmt(x[k * step])},{_fmt(v[k, n])}\n")
+    labels = [f"{k},{_fmt(x[k * step])}" for k in range(g.M + 1)]
+    _write_levels(path, "n,t,k,x_k,v\n", g.dt, labels, control.values.T)
 
 
 def write_convergence_csv(path, report):

@@ -109,9 +109,8 @@ def cg_solve(problem, y0, config=None):
     max_iter = resolve_max_iter(config, g)
 
     u = np.zeros((g.M + 1, g.N + 1))
-    state = solve_state(problem, y0, ControlField(u))
-    y = state.values.copy()
-    grad = gradient(problem, ControlField(u), solve_adjoint(problem, state)).values
+    y = solve_state(problem, y0, ControlField(u)).values
+    grad = gradient(problem, ControlField(u), solve_adjoint(problem, StateField(y))).values
 
     gg0 = g.dt * float(np.sum(grad * grad))
     cost_history = [cost(problem, ControlField(u), StateField(y))]
@@ -131,6 +130,7 @@ def cg_solve(problem, y0, config=None):
     iterations = max_iter
     for m in range(max_iter):
         direction = ControlField(w)
+        dy = None  # release the previous perturbation before the next is allocated
         dy = solve_perturbation(problem, direction)
         aw = gradient(problem, direction, solve_adjoint(problem, dy)).values
         curvature = g.dt * float(np.sum(aw * w))
@@ -139,7 +139,7 @@ def cg_solve(problem, y0, config=None):
         rho = gg / curvature
 
         u = u - rho * w
-        y = y - rho * dy.values
+        y -= rho * dy.values
         grad = grad - rho * aw
         gg_next = g.dt * float(np.sum(grad * grad))
 

@@ -1,29 +1,48 @@
 """Explicit time stepping for the state, adjoint, and perturbation systems.
 
-All three solvers march the same five-point explicit stencil; they differ in
-the sign of the advection term, the direction of time, and the source terms.
-Arrays carry two ghost rows (spatial index -1 and H+1) that close the
-Neumann-type boundary conditions, so a field over nodes j = 0..H is stored in
-rows 1..H+1 of an array with H+3 rows.
+Every sweep is one march of a three-point stencil over a time-major buffer,
+
+    x[i+1][j] = lo*x[i][j-1] + mid*x[i][j] + hi*x[i][j+1] + source[i][j],
+
+run by a single kernel, ``_march``.  The state, adjoint and perturbation
+sweeps differ only in the coefficients, the ghost closure, the source and
+the direction of time; the coefficients are computed once per sweep.  Arrays
+carry two ghost rows (spatial index -1 and H+1) that close the Neumann-type
+boundary conditions, so a field over nodes j = 0..H is stored in rows 1..H+1
+of an array with H+3 rows.
 
 State trajectory, forward in time, n = 0..N:
 
     y[j, n+1] = y[j, n] + dt*( mu*(y[j+1,n] - 2y[j,n] + y[j-1,n])/h^2
                                - eps*(y[j+1,n] - y[j,n])/h + y[j, n] ) + source
 
-The boundary flux controls enter only through the ghost fill
-y[-1, n] = y[0, n] + (h/mu)*v[0, n] and y[H+1, n] = y[H, n] + (h/mu)*v[M, n].
-Each interior control k contributes dt*v[k, n]/h at its node, the grid form
-of a point source of strength v[k, n].
+that is lo = dt*mu/h^2, hi = dt*(mu/h^2 - eps/h) and
+mid = 1 + dt*(1 - 2*mu/h^2 + eps/h).  The boundary flux controls enter only
+through the ghost fill y[-1, n] = y[0, n] + (h/mu)*v[0, n] and
+y[H+1, n] = y[H, n] + (h/mu)*v[M, n].  Each interior control k contributes
+dt*v[k, n]/h at its node, the grid form of a point source of strength v[k, n].
 
 Adjoint trajectory, backward from p[., N] = k2*y[., N+1]:
 
     p[j, n-1] = p[j, n] + dt*( mu*(p[j+1,n] - 2p[j,n] + p[j-1,n])/h^2
                                + eps*(p[j+1,n] - p[j,n])/h + p[j, n] + k1*y[j, n] )
 
-with ghost fill p[-1, n] = mu*p[0, n]/(mu - eps*h) and
-p[H+1, n] = (mu - eps*h)*p[H, n]/mu, filled for every stored level including
-n = 0.
+that is lo = dt*mu/h^2, hi = dt*(mu/h^2 + eps/h),
+mid = 1 + dt*(1 - 2*mu/h^2 - eps/h) and the source dt*k1*y[., n], read
+straight from the rows of the state's time-major buffer.  The ghost fill is
+p[-1, n] = mu*p[0, n]/(mu - eps*h) and p[H+1, n] = (mu - eps*h)*p[H, n]/mu,
+filled for every stored level including n = 0.
+
+The kernel fills the two ghosts of each level, from the affine closure
+ghost = gain*edge + shift, just before the stencil reads that level, so the
+stored ghost rows hold exactly the closure values.  The stencil itself is one
+``np.correlate`` of the ghosted level with (lo, mid, hi).
+
+The overflow guard |x| <= BLOWUP_LIMIT is checked once per block of
+GUARD_BLOCK steps, with overflow warnings silenced.  When a block fails, it
+is rescanned for its first bad level: the levels before it were computed
+exactly as a per-step guard would have computed them, so the reported step
+is the one a per-step guard reports.
 """
 
 from __future__ import annotations
@@ -48,6 +67,11 @@ __all__ = [
 # Magnitudes beyond this abort the march; far above any meaningful solution
 # yet far below float overflow, so the guard fires before inf/nan spread.
 BLOWUP_LIMIT = 1e150
+
+# Steps marched between two checks of the overflow guard.  Checking a block
+# costs about as much as checking one level, and a blown-up march wastes at
+# most this many steps before it stops.
+GUARD_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -143,6 +167,64 @@ def _checked_controls(grid, control):
     return v
 
 
+def _stencil(problem, advection_sign):
+    """Weights (lo, mid, hi) of x + dt*(mu*D2 x + advection_sign*eps*D+ x + x).
+
+    D2 is the centred second difference and D+ the forward difference
+    (x[j+1] - x[j])/h; the state has advection_sign -1, the adjoint +1.
+    """
+    g, p = problem.grid, problem.phys
+    diffusion = p.mu / g.h**2
+    advection = advection_sign * p.eps / g.h
+    return (
+        g.dt * diffusion,
+        1.0 + g.dt * (1.0 - 2.0 * diffusion - advection),
+        g.dt * (diffusion + advection),
+    )
+
+
+def _march(levels, stencil, gains, shifts, source, scale, nodes=slice(1, -1)):
+    """March ``levels[i] -> levels[i+1]`` in place for every i.
+
+    Parameters
+    ----------
+    levels : ndarray, shape (steps+1, H+3)
+        Time-major ghosted buffer in marching order; row 0 holds the start.
+    stencil : (lo, mid, hi)
+        Weights of the left neighbour, the node and the right neighbour.
+    gains, shifts : pairs for the left and right ghost
+        Before level i is read its ghosts are set to
+        gain*edge + shift[i], edge being the adjacent boundary node.
+    source, scale, nodes : 2-D array or None, float, index
+        ``scale*source[i]`` is added to ``levels[i+1][nodes]``; nodes
+        defaults to every physical node.
+
+    Returns
+    -------
+    int or None
+        Index of the first level with a magnitude beyond BLOWUP_LIMIT (or
+        not a number) on the physical nodes; None if the march completed.
+    """
+    steps = len(levels) - 1
+    weights = np.asarray(stencil, dtype=float)
+    left_gain, right_gain = gains
+    left_shift, right_shift = shifts
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, steps, GUARD_BLOCK):
+            stop = min(start + GUARD_BLOCK, steps)
+            for i in range(start, stop):
+                row, nxt = levels[i], levels[i + 1]
+                row[0] = left_gain * row[1] + left_shift[i]
+                row[-1] = right_gain * row[-2] + right_shift[i]
+                nxt[1:-1] = np.correlate(row, weights, "valid")
+                if source is not None:
+                    nxt[nodes] += scale * source[i]
+            bounded = np.abs(levels[start + 1 : stop + 1, 1:-1]) <= BLOWUP_LIMIT
+            if not bounded.all():
+                return start + 1 + int(np.argmin(bounded.all(axis=1)))
+    return None
+
+
 def solve_state(problem, y0, control):
     """March the controlled state forward and return the full trajectory.
 
@@ -165,10 +247,9 @@ def solve_state(problem, y0, control):
         If any node magnitude exceeds BLOWUP_LIMIT; the exception carries the
         offending time step.
     """
-    g, p = problem.grid, problem.phys
+    g = problem.grid
     H, N, M = g.H, g.N, g.M
-    h, dt = g.h, g.dt
-    mu, eps = p.mu, p.eps
+    h, dt, mu = g.h, g.dt, problem.phys.mu
 
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (H + 1,):
@@ -176,23 +257,24 @@ def solve_state(problem, y0, control):
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
     v = _checked_controls(g, control)
-    interior_nodes = np.asarray(control_indices(g)[1:-1], dtype=int)
+    # Interior control nodes j_k = k*H/M sit at every (H/M)-th ghosted row.
+    spacing = control_indices(g)[1]
+    interior_rows = slice(spacing + 1, H + 1, spacing)
 
     # Time-major work array: work[n, r] with r the ghosted spatial index.
     work = np.zeros((N + 2, H + 3))
     work[0, 1:-1] = y0
-    for n in range(N + 1):
-        row = work[n]
-        row[0] = row[1] + (h / mu) * v[0, n]
-        row[-1] = row[-2] + (h / mu) * v[M, n]
-        diffusion = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / h**2
-        advection = (row[2:] - row[1:-1]) / h
-        nxt = row[1:-1] + dt * (mu * diffusion - eps * advection + row[1:-1])
-        if interior_nodes.size:
-            nxt[interior_nodes] += (dt / h) * v[1:M, n]
-        if not np.all(np.abs(nxt) <= BLOWUP_LIMIT):
-            raise SolverBlowUpError(step=n + 1)
-        work[n + 1, 1:-1] = nxt
+    bad = _march(
+        work,
+        _stencil(problem, -1.0),
+        gains=(1.0, 1.0),
+        shifts=((h / mu) * v[0], (h / mu) * v[M]),
+        source=v[1:M].T if M > 1 else None,
+        scale=dt / h,
+        nodes=interior_rows,
+    )
+    if bad is not None:
+        raise SolverBlowUpError(step=bad)
     return StateField(work.T)
 
 
@@ -213,30 +295,29 @@ def solve_adjoint(problem, state):
     AdjointField
     """
     g, p = problem.grid, problem.phys
-    H, N = g.H, g.N
-    h, dt = g.h, g.dt
+    H, N, h, dt = g.H, g.N, g.h, g.dt
     mu, eps = p.mu, p.eps
-    k1, k2 = p.k1, p.k2
 
     y = state.values
     if y.shape != (H + 3, N + 2):
         raise ValueError(f"state shape {y.shape} does not match grid ({H + 3}, {N + 2})")
-
     left_gain = mu / (mu - eps * h)
     right_gain = (mu - eps * h) / mu
 
     work = np.zeros((N + 1, H + 3))
-    work[N, 1:-1] = k2 * y[1:-1, N + 1]
-    for n in range(N, 0, -1):
-        row = work[n]
-        row[0] = left_gain * row[1]
-        row[-1] = right_gain * row[-2]
-        diffusion = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / h**2
-        advection = (row[2:] - row[1:-1]) / h
-        prev = row[1:-1] + dt * (mu * diffusion + eps * advection + row[1:-1] + k1 * y[1:-1, n])
-        if not np.all(np.abs(prev) <= BLOWUP_LIMIT):
-            raise SolverBlowUpError(step=n - 1)
-        work[n - 1, 1:-1] = prev
+    work[N, 1:-1] = p.k2 * y[1:-1, N + 1]
+    no_shift = np.zeros(N)
+    # Marching index i is time level N - i; the step from it reads y[., N - i].
+    bad = _march(
+        work[::-1],
+        _stencil(problem, 1.0),
+        gains=(left_gain, right_gain),
+        shifts=(no_shift, no_shift),
+        source=y.T[N:0:-1, 1:-1],
+        scale=dt * p.k1,
+    )
+    if bad is not None:
+        raise SolverBlowUpError(step=N - bad)
     work[0, 0] = left_gain * work[0, 1]
     work[0, -1] = right_gain * work[0, -2]
     return AdjointField(work.T)

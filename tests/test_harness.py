@@ -17,7 +17,8 @@ from adrcontrol import (
     run_experiment,
     solve_state,
 )
-from adrcontrol.harness import _SUMMARY_KEYS, STATUS_BLOWUP
+from adrcontrol.harness import _SUMMARY_KEYS, STATUS_BLOWUP, write_controls_csv, write_state_csv
+from adrcontrol.solvers import StateField
 
 
 def small_problem(mu=0.1, eps=0.1, N=50, H=10, M=2, **weights):
@@ -49,6 +50,65 @@ def read_summary(path):
     with open(path) as fh:
         pairs = [line.strip().split("=", 1) for line in fh if line.strip()]
     return [p[0] for p in pairs], dict(pairs)
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def reference_state_csv(path, problem, state):
+    """Row-by-row state writer, one formatted line per node and level."""
+    g = problem.grid
+    x = grid_nodes(g)
+    interior = state.interior
+    with open(path, "w", newline="") as fh:
+        fh.write("n,t,j,x,y\n")
+        for n in range(g.N + 2):
+            t = _fmt(n * g.dt)
+            column = interior[:, n]
+            for j in range(g.H + 1):
+                fh.write(f"{n},{t},{j},{_fmt(x[j])},{_fmt(column[j])}\n")
+
+
+def reference_controls_csv(path, problem, control):
+    """Row-by-row controls writer, one formatted line per signal and level."""
+    g = problem.grid
+    x = grid_nodes(g)
+    step = g.H // g.M
+    v = control.values
+    with open(path, "w", newline="") as fh:
+        fh.write("n,t,k,x_k,v\n")
+        for n in range(g.N + 1):
+            t = _fmt(n * g.dt)
+            for k in range(g.M + 1):
+                fh.write(f"{n},{t},{k},{_fmt(x[k * step])},{_fmt(v[k, n])}\n")
+
+
+class TestWriters:
+    SPECIAL = [-0.0, 5e-324, 1e-300, 1e300, 1.0, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0, 123456789.12345678, -1e-5]
+
+    def values(self, shape, seed, written):
+        """Random values over many decades, SPECIAL in the rows ``written``."""
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        v[written].flat[: len(self.SPECIAL)] = self.SPECIAL
+        return v
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_state_csv_is_byte_identical_to_row_writer(self, tmp_path, order):
+        p = small_problem(N=7, H=6, M=3)
+        state = StateField(np.array(self.values((9, 9), 1, slice(1, -1)), order=order))
+        write_state_csv(tmp_path / "fast.csv", p, state)
+        reference_state_csv(tmp_path / "ref.csv", p, state)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_controls_csv_is_byte_identical_to_row_writer(self, tmp_path, order):
+        p = small_problem(N=7, H=6, M=3)
+        control = ControlField(np.array(self.values((4, 8), 2, slice(None)), order=order))
+        write_controls_csv(tmp_path / "fast.csv", p, control)
+        reference_controls_csv(tmp_path / "ref.csv", p, control)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestInitialCondition:

@@ -14,7 +14,7 @@ from adrcontrol import (
     solve_perturbation,
     solve_state,
 )
-from adrcontrol.solvers import StateField
+from adrcontrol.solvers import BLOWUP_LIMIT, GUARD_BLOCK, StateField
 
 from conftest import smooth_probe_set
 
@@ -26,6 +26,65 @@ def make_problem(L=1.0, T=1.0, mu=0.1, eps=0.1, N=100, H=10, M=2, **weights):
 
 def random_controls(grid, rng, scale=1.0):
     return ControlField(scale * rng.standard_normal((grid.M + 1, grid.N + 1)))
+
+
+def reference_state(problem, y0, v):
+    """Plain per-step march of the state with a per-step overflow guard."""
+    g, p = problem.grid, problem.phys
+    H, N, M, h, dt, mu, eps = g.H, g.N, g.M, g.h, g.dt, p.mu, p.eps
+    nodes = control_indices(g)[1:-1]
+    work = np.zeros((N + 2, H + 3))
+    work[0, 1:-1] = y0
+    for n in range(N + 1):
+        row = work[n]
+        row[0] = row[1] + (h / mu) * v[0, n]
+        row[-1] = row[-2] + (h / mu) * v[M, n]
+        for j in range(1, H + 2):
+            diffusion = (row[j + 1] - 2.0 * row[j] + row[j - 1]) / h**2
+            advection = (row[j + 1] - row[j]) / h
+            work[n + 1, j] = row[j] + dt * (mu * diffusion - eps * advection + row[j])
+        for k, node in enumerate(nodes, start=1):
+            work[n + 1, node + 1] += (dt / h) * v[k, n]
+        if not np.all(np.abs(work[n + 1, 1:-1]) <= BLOWUP_LIMIT):
+            raise SolverBlowUpError(step=n + 1)
+    return work.T
+
+
+def reference_adjoint(problem, y):
+    """Plain per-step backward march of the adjoint with a per-step guard."""
+    g, p = problem.grid, problem.phys
+    H, N, h, dt, mu, eps = g.H, g.N, g.h, g.dt, p.mu, p.eps
+    left_gain = mu / (mu - eps * h)
+    right_gain = (mu - eps * h) / mu
+    work = np.zeros((N + 1, H + 3))
+    work[N, 1:-1] = p.k2 * y[1:-1, N + 1]
+    for n in range(N, 0, -1):
+        row = work[n]
+        row[0] = left_gain * row[1]
+        row[-1] = right_gain * row[-2]
+        for j in range(1, H + 2):
+            diffusion = (row[j + 1] - 2.0 * row[j] + row[j - 1]) / h**2
+            advection = (row[j + 1] - row[j]) / h
+            work[n - 1, j] = row[j] + dt * (mu * diffusion + eps * advection + row[j] + p.k1 * y[j, n])
+        if not np.all(np.abs(work[n - 1, 1:-1]) <= BLOWUP_LIMIT):
+            raise SolverBlowUpError(step=n - 1)
+    work[0, 0] = left_gain * work[0, 1]
+    work[0, -1] = right_gain * work[0, -2]
+    return work.T
+
+
+def unstable_problem():
+    # cfl ratio near 2 amplifies the highest mode by about 3 per step
+    p = DiscreteProblem.create(PhysicalConfig(mu=1.0, eps=0.1), N=2503, H=50, M=2)
+    assert cfl_ratio(p) > 1.9
+    return p
+
+
+def blow_up_step(solve, *args):
+    with pytest.raises(SolverBlowUpError) as info:
+        solve(*args)
+    assert str(info.value.step) in str(info.value)
+    return info.value.step
 
 
 class TestSolveState:
@@ -98,16 +157,20 @@ class TestSolveState:
             solve_state(p, np.zeros(11), ControlField(np.zeros((3, 50))))
 
     def test_blow_up_raises_with_step_index(self):
-        # cfl ratio 2 amplifies the pulse until the guard trips
-        phys = PhysicalConfig(mu=1.0, eps=0.1)
-        p = DiscreteProblem.create(phys, N=2503, H=50, M=2)
-        assert cfl_ratio(p) > 1.9
-        y0 = np.zeros(51)
-        y0[20:31] = 10.0
-        with pytest.raises(SolverBlowUpError) as info:
-            solve_state(p, y0, ControlField.zeros(p.grid))
-        assert 0 < info.value.step <= 2504
-        assert str(info.value.step) in str(info.value)
+        # The guard is checked once per block of steps.  These amplitudes
+        # blow up on the last level of a block, on the first level of the
+        # next one and inside one, and each must report the per-step answer.
+        p = unstable_problem()
+        v = ControlField.zeros(p.grid)
+        offsets = set()
+        for amplitude in (0.3, 0.1, 10.0):
+            y0 = np.zeros(51)
+            y0[20:31] = amplitude
+            step = blow_up_step(solve_state, p, y0, v)
+            assert 0 < step <= 2504
+            assert step == blow_up_step(reference_state, p, y0, v.values)
+            offsets.add(step % GUARD_BLOCK)
+        assert 0 in offsets and len(offsets) == 3
 
     def test_deterministic_rerun(self):
         p = make_problem(N=30, H=6, M=2)
@@ -185,12 +248,54 @@ class TestSolveAdjoint:
         combined = solve_adjoint(p, StateField(3.0 * ya.values + 0.25 * yb.values))
         assert np.allclose(combined.values, 3.0 * qa.values + 0.25 * qb.values, rtol=1e-12, atol=1e-12)
 
+    def test_blow_up_raises_with_step_index(self):
+        # Marching index N - step counts the adjoint's steps; these terminal
+        # amplitudes blow up on the last level of a guard block and inside one.
+        p = unstable_problem()
+        g = p.grid
+        running = 1e-6 * np.random.default_rng(6).standard_normal((g.H + 1, g.N + 1))
+        offsets = set()
+        for amplitude in (0.1, 0.3, 1.0):
+            values = np.zeros((g.H + 3, g.N + 2))
+            values[1:-1, : g.N + 1] = running
+            values[21:32, -1] = amplitude
+            y = StateField(values)
+            step = blow_up_step(solve_adjoint, p, y)
+            assert 0 <= step < g.N
+            assert step == blow_up_step(reference_adjoint, p, y.values)
+            offsets.add((g.N - step) % GUARD_BLOCK)
+        assert 0 in offsets and len(offsets) == 3
+
     def test_rejects_mismatched_state_shape(self):
         p = make_problem(N=10, H=10)
         other = make_problem(N=20, H=10)
         y = solve_state(other, np.zeros(11), ControlField.zeros(other.grid))
         with pytest.raises(ValueError):
             solve_adjoint(p, y)
+
+
+class TestKernelAgainstLoopReference:
+    """The shared march kernel against the per-step formulas, over many steps."""
+
+    TOL = 1e-12  # relative to the largest magnitude of the reference
+
+    @pytest.mark.parametrize("eps", [0.3, -0.2])
+    def test_state_and_adjoint_match_plain_loops(self, eps):
+        p = make_problem(mu=0.1, eps=eps, N=1500, H=20, M=4, k1=0.7, k2=1.3)
+        g = p.grid
+        assert cfl_ratio(p) < 0.5
+        rng = np.random.default_rng(21)
+        v = random_controls(g, rng)
+        assert np.all(v.values != 0.0)
+        y0 = rng.standard_normal(g.H + 1)
+
+        y = solve_state(p, y0, v)
+        y_ref = reference_state(p, y0, v.values)
+        assert np.abs(y.values - y_ref).max() <= self.TOL * np.abs(y_ref).max()
+
+        q = solve_adjoint(p, y)
+        q_ref = reference_adjoint(p, y.values)
+        assert np.abs(q.values - q_ref).max() <= self.TOL * np.abs(q_ref).max()
 
 
 class TestDuality:

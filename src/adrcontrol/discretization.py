@@ -129,12 +129,8 @@ def control_indices(grid):
     """Spatial node indices carrying controls: j_k = k*H/M for k = 0..M.
 
     Index 0 and H are the boundary flux controls; the rest are interior
-    point sources.
+    point sources.  GridConfig guarantees that M divides H.
     """
-    if grid.H % grid.M != 0:
-        raise ConfigurationError(
-            f"H={grid.H} must be divisible by M={grid.M} so control nodes land on the grid"
-        )
     step = grid.H // grid.M
     return [k * step for k in range(grid.M + 1)]
 

@@ -145,7 +145,6 @@ class ExperimentSummary:
     control: Optional[ControlField] = None
     state: Optional[StateField] = None
     report: Optional[CGReport] = None
-    uncontrolled_terminal: Optional[np.ndarray] = None
     error: Optional[str] = None
 
 
@@ -264,16 +263,11 @@ def run_experiment(spec):
 
     # The uncontrolled baseline does not involve controls, so one solve
     # serves every control count.
-    uncontrolled_terminal = None
     uncontrolled_norm = None
     uncontrolled_error = None
     try:
-        baseline_problem = DiscreteProblem.create(
-            phys, base_grid.N, base_grid.H, spec.control_counts[0]
-        )
-        baseline = solve_state(baseline_problem, y0, ControlField.zeros(baseline_problem.grid))
-        uncontrolled_terminal = baseline.terminal.copy()
-        uncontrolled_norm = _terminal_norm(base_grid, uncontrolled_terminal)
+        baseline = solve_state(spec.problem, y0, ControlField.zeros(base_grid))
+        uncontrolled_norm = _terminal_norm(base_grid, baseline.terminal)
     except SolverBlowUpError as exc:
         uncontrolled_error = f"uncontrolled baseline blew up: {exc}"
 
@@ -284,11 +278,10 @@ def run_experiment(spec):
         run_dir.mkdir(parents=True, exist_ok=True)
 
         error = uncontrolled_error
-        control = state = report = None
+        control = report = None
         if error is None:
             try:
                 control, report = cg_solve(problem, y0, spec.cg)
-                state = solve_state(problem, y0, control)
             except SolverBlowUpError as exc:
                 error = str(exc)
 
@@ -304,7 +297,6 @@ def run_experiment(spec):
                 terminal_norm=None,
                 uncontrolled_terminal_norm=uncontrolled_norm,
                 run_dir=run_dir,
-                uncontrolled_terminal=uncontrolled_terminal,
                 error=error,
             )
             write_summary_txt(run_dir / "summary.txt", row)
@@ -319,15 +311,14 @@ def run_experiment(spec):
             base_key=key,
             cost=report.cost_history[-1],
             control_energy=inner_product(problem.grid, control, control),
-            terminal_norm=_terminal_norm(problem.grid, state.terminal),
+            terminal_norm=_terminal_norm(problem.grid, report.state.terminal),
             uncontrolled_terminal_norm=uncontrolled_norm,
             run_dir=run_dir,
             control=control,
-            state=state,
+            state=report.state,
             report=report,
-            uncontrolled_terminal=uncontrolled_terminal,
         )
-        write_state_csv(run_dir / "state.csv", problem, state)
+        write_state_csv(run_dir / "state.csv", problem, report.state)
         write_controls_csv(run_dir / "controls.csv", problem, control)
         write_convergence_csv(run_dir / "convergence.csv", report)
         write_summary_txt(run_dir / "summary.txt", row)

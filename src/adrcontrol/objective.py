@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import control_indices
-from .solvers import AdjointField, ControlField, StateField
+from .solvers import ControlField
 
 __all__ = ["CostBreakdown", "cost", "inner_product", "gradient"]
 
@@ -47,13 +47,12 @@ def cost(problem, control, state):
     y = state.values
     if v.shape != (g.M + 1, g.N + 1):
         raise ValueError(f"control field shape {v.shape} does not match grid")
-    if y.shape != (g.H + 3, g.N + 2):
+    if y.shape != (g.H + 1, g.N + 2):
         raise ValueError(f"state field shape {y.shape} does not match grid")
 
-    interior = y[1:-1, :]
     control_term = 0.5 * p.k0 * g.dt * float(np.sum(v * v))
-    running_term = 0.5 * p.k1 * g.dt * g.h * float(np.sum(interior[:, : g.N + 1] ** 2))
-    terminal_term = 0.5 * p.k2 * g.h * float(np.sum(interior[:, g.N + 1] ** 2))
+    running_term = 0.5 * p.k1 * g.dt * g.h * float(np.sum(y[:, : g.N + 1] ** 2))
+    terminal_term = 0.5 * p.k2 * g.h * float(np.sum(y[:, g.N + 1] ** 2))
     return CostBreakdown(
         control_term=control_term,
         running_term=running_term,
@@ -84,8 +83,6 @@ def gradient(problem, control, adjoint):
     pv = adjoint.values
     if v.shape != (g.M + 1, g.N + 1):
         raise ValueError(f"control field shape {v.shape} does not match grid")
-    if pv.shape != (g.H + 3, g.N + 1):
+    if pv.shape != (g.H + 1, g.N + 1):
         raise ValueError(f"adjoint field shape {pv.shape} does not match grid")
-    rows = np.asarray(control_indices(g), dtype=int) + 1  # shift past the ghost row
-    traces = pv[rows, :]
-    return ControlField(p.k0 * v + traces)
+    return ControlField(p.k0 * v + pv[control_indices(g), :])

@@ -5,11 +5,10 @@ Every sweep is one march of a three-point stencil over a time-major buffer,
     x[i+1][j] = lo*x[i][j-1] + mid*x[i][j] + hi*x[i][j+1] + source[i][j],
 
 run by a single kernel, ``_march``.  The state, adjoint and perturbation
-sweeps differ only in the coefficients, the ghost closure, the source and
-the direction of time; the coefficients are computed once per sweep.  Arrays
-carry two ghost rows (spatial index -1 and H+1) that close the Neumann-type
-boundary conditions, so a field over nodes j = 0..H is stored in rows 1..H+1
-of an array with H+3 rows.
+sweeps differ only in the coefficients, the boundary closure, the source and
+the direction of time; the coefficients are computed once per sweep.  The
+fields a sweep returns hold the physical nodes j = 0..H only: row j of
+``values`` is node j.
 
 State trajectory, forward in time, n = 0..N:
 
@@ -17,10 +16,11 @@ State trajectory, forward in time, n = 0..N:
                                - eps*(y[j+1,n] - y[j,n])/h + y[j, n] ) + source
 
 that is lo = dt*mu/h^2, hi = dt*(mu/h^2 - eps/h) and
-mid = 1 + dt*(1 - 2*mu/h^2 + eps/h).  The boundary flux controls enter only
-through the ghost fill y[-1, n] = y[0, n] + (h/mu)*v[0, n] and
-y[H+1, n] = y[H, n] + (h/mu)*v[M, n].  Each interior control k contributes
-dt*v[k, n]/h at its node, the grid form of a point source of strength v[k, n].
+mid = 1 + dt*(1 - 2*mu/h^2 + eps/h).  At the boundary nodes the stencil
+reads the Neumann-type closures y[-1, n] = y[0, n] + (h/mu)*v[0, n] and
+y[H+1, n] = y[H, n] + (h/mu)*v[M, n]; this is the only way the boundary
+flux controls enter.  Each interior control k contributes dt*v[k, n]/h at
+its node, the grid form of a point source of strength v[k, n].
 
 Adjoint trajectory, backward from p[., N] = k2*y[., N+1]:
 
@@ -29,14 +29,15 @@ Adjoint trajectory, backward from p[., N] = k2*y[., N+1]:
 
 that is lo = dt*mu/h^2, hi = dt*(mu/h^2 + eps/h),
 mid = 1 + dt*(1 - 2*mu/h^2 - eps/h) and the source dt*k1*y[., n], read
-straight from the rows of the state's time-major buffer.  The ghost fill is
-p[-1, n] = mu*p[0, n]/(mu - eps*h) and p[H+1, n] = (mu - eps*h)*p[H, n]/mu,
-filled for every stored level including n = 0.
+straight from the state's rows.  The Robin closures are
+p[-1, n] = mu*p[0, n]/(mu - eps*h) and p[H+1, n] = (mu - eps*h)*p[H, n]/mu.
 
-The kernel fills the two ghosts of each level, from the affine closure
-ghost = gain*edge + shift, just before the stencil reads that level, so the
-stored ghost rows hold exactly the closure values.  The stencil itself is one
-``np.correlate`` of the ghosted level with (lo, mid, hi).
+The kernel works on a buffer with two ghost nodes per level (spatial index
+-1 and H+1).  Just before the stencil reads a level it sets that level's
+ghosts from the affine closure ghost = gain*edge + shift, so the stencil
+itself is one ``np.correlate`` of the ghosted level with (lo, mid, hi).  The
+ghosts are the kernel's working layout: the returned fields are views of the
+buffer's physical columns.
 
 The overflow guard |x| <= BLOWUP_LIMIT is checked once per block of
 GUARD_BLOCK steps, with overflow warnings silenced.  When a block fails, it
@@ -95,68 +96,38 @@ class ControlField:
 
 @dataclass(frozen=True)
 class StateField:
-    """State trajectory with ghost rows: values is (H+3, N+2).
-
-    Row r holds spatial node j = r - 1; rows 0 and H+2 are the ghost nodes.
-    Columns are time levels n = 0..N+1.  Ghost columns are filled for n <= N,
-    the levels at which the scheme actually reads them; the final column has
-    zero ghosts.
-    """
+    """State trajectory values[j, n] at nodes j = 0..H, times n = 0..N+1."""
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 4 or v.shape[1] < 2:
-            raise ValueError(f"state array must be (H+3, N+2), got shape {v.shape}")
+        if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
+            raise ValueError(f"state array must be (H+1, N+2), got shape {v.shape}")
         object.__setattr__(self, "values", v)
 
     @property
     def interior(self):
-        """View of the physical nodes j = 0..H, shape (H+1, N+2)."""
-        return self.values[1:-1, :]
+        """The physical nodes j = 0..H, shape (H+1, N+2): the same array as values."""
+        return self.values
 
     @property
     def terminal(self):
-        """Final time level over physical nodes, shape (H+1,)."""
-        return self.values[1:-1, -1]
-
-    @property
-    def left_ghost(self):
-        return self.values[0, :]
-
-    @property
-    def right_ghost(self):
-        return self.values[-1, :]
+        """Final time level, shape (H+1,)."""
+        return self.values[:, -1]
 
 
 @dataclass(frozen=True)
 class AdjointField:
-    """Adjoint trajectory with ghost rows: values is (H+3, N+1).
-
-    Same row layout as StateField; columns are time levels n = 0..N and the
-    ghost rows are filled at every level.
-    """
+    """Adjoint trajectory values[j, n] at nodes j = 0..H, times n = 0..N."""
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 4 or v.shape[1] < 1:
-            raise ValueError(f"adjoint array must be (H+3, N+1), got shape {v.shape}")
+        if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 1:
+            raise ValueError(f"adjoint array must be (H+1, N+1), got shape {v.shape}")
         object.__setattr__(self, "values", v)
-
-    @property
-    def interior(self):
-        return self.values[1:-1, :]
-
-    @property
-    def left_ghost(self):
-        return self.values[0, :]
-
-    @property
-    def right_ghost(self):
-        return self.values[-1, :]
 
 
 def _checked_controls(grid, control):
@@ -239,7 +210,7 @@ def solve_state(problem, y0, control):
     Returns
     -------
     StateField
-        Trajectory over n = 0..N+1 including ghost rows.
+        Trajectory over n = 0..N+1.
 
     Raises
     ------
@@ -275,7 +246,7 @@ def solve_state(problem, y0, control):
     )
     if bad is not None:
         raise SolverBlowUpError(step=bad)
-    return StateField(work.T)
+    return StateField(work[:, 1:-1].T)
 
 
 def solve_adjoint(problem, state):
@@ -299,13 +270,13 @@ def solve_adjoint(problem, state):
     mu, eps = p.mu, p.eps
 
     y = state.values
-    if y.shape != (H + 3, N + 2):
-        raise ValueError(f"state shape {y.shape} does not match grid ({H + 3}, {N + 2})")
+    if y.shape != (H + 1, N + 2):
+        raise ValueError(f"state shape {y.shape} does not match grid ({H + 1}, {N + 2})")
     left_gain = mu / (mu - eps * h)
     right_gain = (mu - eps * h) / mu
 
     work = np.zeros((N + 1, H + 3))
-    work[N, 1:-1] = p.k2 * y[1:-1, N + 1]
+    work[N, 1:-1] = p.k2 * y[:, N + 1]
     no_shift = np.zeros(N)
     # Marching index i is time level N - i; the step from it reads y[., N - i].
     bad = _march(
@@ -313,14 +284,12 @@ def solve_adjoint(problem, state):
         _stencil(problem, 1.0),
         gains=(left_gain, right_gain),
         shifts=(no_shift, no_shift),
-        source=y.T[N:0:-1, 1:-1],
+        source=y.T[N:0:-1],
         scale=dt * p.k1,
     )
     if bad is not None:
         raise SolverBlowUpError(step=N - bad)
-    work[0, 0] = left_gain * work[0, 1]
-    work[0, -1] = right_gain * work[0, -2]
-    return AdjointField(work.T)
+    return AdjointField(work[:, 1:-1].T)
 
 
 def solve_perturbation(problem, control):

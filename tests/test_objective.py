@@ -69,7 +69,7 @@ class TestCost:
         v = ControlField(rng.standard_normal((3, 8)))
         y = solve_state(p, rng.standard_normal(5), v)
         c = cost(p, v, y)
-        ctrl, run, term = brute_force_cost(p, v.values.tolist(), y.interior.tolist())
+        ctrl, run, term = brute_force_cost(p, v.values.tolist(), y.values.tolist())
         assert c.control_term == pytest.approx(ctrl, rel=1e-14)
         assert c.running_term == pytest.approx(run, rel=1e-14)
         assert c.terminal_term == pytest.approx(term, rel=1e-14)
@@ -134,23 +134,23 @@ class TestInnerProduct:
 class TestGradient:
     def test_zero_inputs_give_zero(self):
         p = make_problem(N=8)
-        g = gradient(p, ControlField.zeros(p.grid), AdjointField(np.zeros((13, 9))))
+        g = gradient(p, ControlField.zeros(p.grid), AdjointField(np.zeros((11, 9))))
         assert np.all(g.values == 0.0)
 
     def test_combines_weighted_control_and_traces(self):
         p = make_problem(N=4, H=10, M=2, k0=3.0)
         v = ControlField(np.ones((3, 5)))
-        adj = AdjointField(np.full((13, 5), 2.0))
+        adj = AdjointField(np.full((11, 5), 2.0))
         g = gradient(p, v, adj)
         assert np.array_equal(g.values, np.full((3, 5), 5.0))
 
     def test_reads_traces_at_control_nodes(self):
         p = make_problem(N=3, H=10, M=2)
-        adj = np.zeros((13, 4))
-        adj[1 + 0, :] = 1.0   # node 0
-        adj[1 + 5, :] = 7.0   # node 5
-        adj[1 + 10, :] = -2.0 # node 10
-        adj[1 + 3, :] = 99.0  # not a control node; must be ignored
+        adj = np.zeros((11, 4))
+        adj[0, :] = 1.0   # node 0
+        adj[5, :] = 7.0   # node 5
+        adj[10, :] = -2.0 # node 10
+        adj[3, :] = 99.0  # not a control node; must be ignored
         g = gradient(p, ControlField.zeros(p.grid), AdjointField(adj))
         assert control_indices(p.grid) == [0, 5, 10]
         assert np.array_equal(g.values[0], np.full(4, 1.0))
@@ -163,8 +163,8 @@ class TestGradient:
         rng = np.random.default_rng(40)
         v1 = ControlField(rng.integers(-5, 6, size=(3, 7)).astype(float))
         v2 = ControlField(rng.integers(-5, 6, size=(3, 7)).astype(float))
-        a1 = AdjointField(rng.integers(-5, 6, size=(7, 7)).astype(float))
-        a2 = AdjointField(rng.integers(-5, 6, size=(7, 7)).astype(float))
+        a1 = AdjointField(rng.integers(-5, 6, size=(5, 7)).astype(float))
+        a2 = AdjointField(rng.integers(-5, 6, size=(5, 7)).astype(float))
         lhs = gradient(p, ControlField(v1.values + v2.values), AdjointField(a1.values + a2.values))
         rhs = gradient(p, v1, a1).values + gradient(p, v2, a2).values
         assert np.array_equal(lhs.values, rhs)
@@ -172,7 +172,7 @@ class TestGradient:
     def test_rejects_mismatched_adjoint(self):
         p = make_problem(N=6)
         with pytest.raises(ValueError):
-            gradient(p, ControlField.zeros(p.grid), AdjointField(np.zeros((13, 5))))
+            gradient(p, ControlField.zeros(p.grid), AdjointField(np.zeros((11, 5))))
 
 
 class TestGradientAgainstFiniteDifferences:

@@ -97,6 +97,35 @@ class TestTrivialOptimum:
         assert report.grad_ratio_history == (0.0,)
 
 
+class TestReportedState:
+    """CGReport.state is the trajectory cg_solve priced its final cost on."""
+
+    CASES = {
+        STATUS_CONVERGED: (dict(N=60, H=10, M=2), CGConfig(tol=1e-6)),
+        STATUS_MAX_ITER: (dict(N=60, H=10, M=5), CGConfig(tol=1e-12, max_iter=3)),
+        # no state penalty: the gradient at u = 0 vanishes though y0 does not
+        STATUS_TRIVIAL: (dict(N=60, H=10, M=2, k1=0.0, k2=0.0), CGConfig()),
+    }
+
+    @pytest.mark.parametrize("status", CASES)
+    def test_matches_a_fresh_solve_at_the_returned_control(self, status):
+        kwargs, config = self.CASES[status]
+        p = make_problem(**kwargs)
+        y0 = bump(p)
+        u, report = cg_solve(p, y0, config)
+        assert report.status == status
+        fresh = solve_state(p, y0, u).values
+        assert report.state.values.shape == fresh.shape
+        assert np.abs(report.state.values - fresh).max() <= 1e-12 * np.abs(fresh).max()
+
+    @pytest.mark.parametrize("status", CASES)
+    def test_final_cost_is_priced_on_it(self, status):
+        kwargs, config = self.CASES[status]
+        p = make_problem(**kwargs)
+        u, report = cg_solve(p, bump(p), config)
+        assert cost(p, u, report.state).total == report.cost_history[-1].total
+
+
 class TestTinySymmetricInstance:
     def test_terminates_within_dimension_plus_slack(self):
         p = tiny_symmetric_problem()

@@ -47,7 +47,7 @@ def reference_state(problem, y0, v):
             work[n + 1, node + 1] += (dt / h) * v[k, n]
         if not np.all(np.abs(work[n + 1, 1:-1]) <= BLOWUP_LIMIT):
             raise SolverBlowUpError(step=n + 1)
-    return work.T
+    return work[:, 1:-1].T
 
 
 def reference_adjoint(problem, y):
@@ -57,7 +57,7 @@ def reference_adjoint(problem, y):
     left_gain = mu / (mu - eps * h)
     right_gain = (mu - eps * h) / mu
     work = np.zeros((N + 1, H + 3))
-    work[N, 1:-1] = p.k2 * y[1:-1, N + 1]
+    work[N, 1:-1] = p.k2 * y[:, N + 1]
     for n in range(N, 0, -1):
         row = work[n]
         row[0] = left_gain * row[1]
@@ -65,12 +65,27 @@ def reference_adjoint(problem, y):
         for j in range(1, H + 2):
             diffusion = (row[j + 1] - 2.0 * row[j] + row[j - 1]) / h**2
             advection = (row[j + 1] - row[j]) / h
-            work[n - 1, j] = row[j] + dt * (mu * diffusion + eps * advection + row[j] + p.k1 * y[j, n])
+            work[n - 1, j] = row[j] + dt * (mu * diffusion + eps * advection + row[j] + p.k1 * y[j - 1, n])
         if not np.all(np.abs(work[n - 1, 1:-1]) <= BLOWUP_LIMIT):
             raise SolverBlowUpError(step=n - 1)
-    work[0, 0] = left_gain * work[0, 1]
-    work[0, -1] = right_gain * work[0, -2]
-    return work.T
+    return work[:, 1:-1].T
+
+
+def boundary_update_defect(lo, mid, hi, left_ghost, x, right_ghost, nxt, source=0.0):
+    """Largest defect of the boundary-node updates, relative to their terms.
+
+    The next level must satisfy nxt[0] = lo*left_ghost + mid*x[0] + hi*x[1]
+    + source[0] at node 0, and the mirror image at node H, up to rounding.
+    """
+    source = np.broadcast_to(source, x.shape)
+    terms = (
+        (lo * left_ghost, mid * x[0], hi * x[1], source[0], -nxt[0]),
+        (lo * x[-2], mid * x[-1], hi * right_ghost, source[-1], -nxt[-1]),
+    )
+    return max(
+        float(np.max(np.abs(sum(t)) / np.maximum(sum(np.abs(u) for u in t), 1e-300)))
+        for t in terms
+    )
 
 
 def unstable_problem():
@@ -91,7 +106,7 @@ class TestSolveState:
     def test_zero_data_gives_zero_trajectory(self):
         p = make_problem(N=20)
         y = solve_state(p, np.zeros(11), ControlField.zeros(p.grid))
-        assert y.values.shape == (13, 22)
+        assert y.values.shape == (11, 22)
         assert np.all(y.values == 0.0)
 
     def test_constant_state_grows_by_reaction_factor(self):
@@ -103,9 +118,6 @@ class TestSolveState:
         for n in range(p.grid.N + 2):
             assert y.interior[:, n] == pytest.approx(np.full(6, expected), rel=1e-13)
             expected *= 1.0 + p.grid.dt
-        # ghost fill with zero fluxes copies the boundary nodes
-        assert np.array_equal(y.left_ghost[:-1], y.interior[0, :-1])
-        assert np.array_equal(y.right_ghost[:-1], y.interior[-1, :-1])
 
     def test_single_step_by_hand(self):
         # H=2, h=0.5, dt=0.1, mu=0.1, eps=0, y0 = (0,1,0), no controls:
@@ -115,18 +127,21 @@ class TestSolveState:
         y = solve_state(p, np.array([0.0, 1.0, 0.0]), ControlField.zeros(p.grid))
         assert y.interior[:, 1] == pytest.approx([0.04, 1.02, 0.04], abs=1e-15)
 
-    def test_boundary_ghost_relations_hold_at_every_step(self):
+    def test_boundary_nodes_follow_flux_closure_at_every_step(self):
+        # The Neumann closure y[-1] = y[0] + (h/mu)*v[0], y[H+1] = y[H] + (h/mu)*v[M]
+        # substituted into the stencil at nodes 0 and H.
         p = make_problem(N=40, H=8, M=2)
         rng = np.random.default_rng(5)
-        v = random_controls(p.grid, rng)
-        y = solve_state(p, rng.standard_normal(9), v)
-        g, mu = p.grid, p.phys.mu
-        for n in range(g.N + 1):
-            assert y.left_ghost[n] == y.interior[0, n] + (g.h / mu) * v.values[0, n]
-            assert y.right_ghost[n] == y.interior[-1, n] + (g.h / mu) * v.values[g.M, n]
-        # the column past the horizon is never read by the scheme
-        assert y.left_ghost[-1] == 0.0
-        assert y.right_ghost[-1] == 0.0
+        v = random_controls(p.grid, rng).values
+        y = solve_state(p, rng.standard_normal(9), ControlField(v)).values
+        g, mu, eps = p.grid, p.phys.mu, p.phys.eps
+        lo = g.dt * mu / g.h**2
+        mid = 1.0 + g.dt * (1.0 - 2.0 * mu / g.h**2 + eps / g.h)
+        hi = g.dt * (mu / g.h**2 - eps / g.h)
+        x, nxt = y[:, :-1], y[:, 1:]
+        left = x[0] + (g.h / mu) * v[0]
+        right = x[-1] + (g.h / mu) * v[g.M]
+        assert boundary_update_defect(lo, mid, hi, left, x, right, nxt) <= 1e-14
 
     def test_interior_sources_inject_at_control_nodes_only(self):
         p = make_problem(N=10, H=10, M=2)
@@ -205,39 +220,34 @@ class TestSolveAdjoint:
         p = make_problem(N=20)
         y = solve_state(p, np.zeros(11), ControlField.zeros(p.grid))
         q = solve_adjoint(p, y)
-        assert q.values.shape == (13, 21)
+        assert q.values.shape == (11, 21)
         assert np.all(q.values == 0.0)
 
     def test_terminal_condition_scales_final_state(self):
         p = make_problem(T=0.1, mu=0.1, eps=0.0, N=1, H=2, M=2, k2=2.0)
         y = solve_state(p, np.array([1.0, 0.0, -1.0]), ControlField.zeros(p.grid))
         q = solve_adjoint(p, y)
-        assert np.array_equal(q.interior[:, -1], 2.0 * y.terminal)
+        assert np.array_equal(q.values[:, -1], 2.0 * y.terminal)
 
-    def test_ghost_gains_match_robin_closure(self):
+    def test_boundary_nodes_follow_robin_closure(self):
+        # The Robin closure p[-1] = gain_left*p[0], p[H+1] = gain_right*p[H]
+        # substituted into the backward stencil at nodes 0 and H.
         # mu=0.2, eps=0.1, h=0.1: left gain mu/(mu - eps*h) = 0.2/0.19
         p = make_problem(mu=0.2, eps=0.1, N=60, H=10, M=2)
         rng = np.random.default_rng(8)
         y = solve_state(p, rng.standard_normal(11), random_controls(p.grid, rng))
-        q = solve_adjoint(p, y)
+        q = solve_adjoint(p, y).values
         left_gain = 0.2 / 0.19
         right_gain = 0.19 / 0.2
         assert left_gain == pytest.approx(1.0526315789473684, rel=1e-15)
-        for n in range(p.grid.N + 1):
-            assert q.left_ghost[n] == pytest.approx(left_gain * q.interior[0, n], rel=1e-12)
-            assert q.right_ghost[n] == pytest.approx(right_gain * q.interior[-1, n], rel=1e-12)
-        # levels n >= 1 are filled by assignment, so they match exactly
-        assert np.array_equal(q.left_ghost[1:], (p.phys.mu / (p.phys.mu - p.phys.eps * p.grid.h)) * q.interior[0, 1:])
-
-    def test_initial_level_ghosts_are_filled(self):
-        p = make_problem(N=15, H=6, M=2)
-        rng = np.random.default_rng(1)
-        y = solve_state(p, rng.standard_normal(7), random_controls(p.grid, rng))
-        q = solve_adjoint(p, y)
-        assert q.left_ghost[0] != 0.0
-        mu, eps, h = p.phys.mu, p.phys.eps, p.grid.h
-        assert q.left_ghost[0] == (mu / (mu - eps * h)) * q.interior[0, 0]
-        assert q.right_ghost[0] == ((mu - eps * h) / mu) * q.interior[-1, 0]
+        g, mu, eps = p.grid, p.phys.mu, p.phys.eps
+        lo = g.dt * mu / g.h**2
+        mid = 1.0 + g.dt * (1.0 - 2.0 * mu / g.h**2 - eps / g.h)
+        hi = g.dt * (mu / g.h**2 + eps / g.h)
+        x, nxt = q[:, 1:], q[:, :-1]
+        source = g.dt * p.phys.k1 * y.values[:, 1 : g.N + 1]
+        defect = boundary_update_defect(lo, mid, hi, left_gain * x[0], x, right_gain * x[-1], nxt, source)
+        assert defect <= 1e-14
 
     def test_linearity_in_state(self):
         p = make_problem(N=40, H=8, M=2)
@@ -256,9 +266,9 @@ class TestSolveAdjoint:
         running = 1e-6 * np.random.default_rng(6).standard_normal((g.H + 1, g.N + 1))
         offsets = set()
         for amplitude in (0.1, 0.3, 1.0):
-            values = np.zeros((g.H + 3, g.N + 2))
-            values[1:-1, : g.N + 1] = running
-            values[21:32, -1] = amplitude
+            values = np.zeros((g.H + 1, g.N + 2))
+            values[:, : g.N + 1] = running
+            values[20:31, -1] = amplitude
             y = StateField(values)
             step = blow_up_step(solve_adjoint, p, y)
             assert 0 <= step < g.N

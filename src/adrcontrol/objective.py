@@ -50,8 +50,9 @@ def cost(problem, control, state):
     if y.shape != (g.H + 1, g.N + 2):
         raise ValueError(f"state field shape {y.shape} does not match grid")
 
-    control_term = 0.5 * p.k0 * g.dt * float(np.sum(v * v))
-    running_term = 0.5 * p.k1 * g.dt * g.h * float(np.sum(y[:, : g.N + 1] ** 2))
+    control_term = 0.5 * p.k0 * g.dt * float(np.einsum("ij,ij->", v, v))
+    running = y[:, : g.N + 1]
+    running_term = 0.5 * p.k1 * g.dt * g.h * float(np.einsum("ij,ij->", running, running))
     terminal_term = 0.5 * p.k2 * g.h * float(np.sum(y[:, g.N + 1] ** 2))
     return CostBreakdown(
         control_term=control_term,

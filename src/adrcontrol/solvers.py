@@ -1,14 +1,13 @@
 """Explicit time stepping for the state, adjoint, and perturbation systems.
 
-Every sweep is one march of a three-point stencil over a time-major buffer,
+Every sweep marches a three-point stencil over a time-major buffer of the
+physical nodes j = 0..H,
 
-    x[i+1][j] = lo*x[i][j-1] + mid*x[i][j] + hi*x[i][j+1] + source[i][j],
+    x[i+1][j] = lo*x[i][j-1] + mid*x[i][j] + hi*x[i][j+1] + forcing[i+1][j],
 
-run by a single kernel, ``_march``.  The state, adjoint and perturbation
-sweeps differ only in the coefficients, the boundary closure, the source and
-the direction of time; the coefficients are computed once per sweep.  The
-fields a sweep returns hold the physical nodes j = 0..H only: row j of
-``values`` is node j.
+and one kernel, ``_march``, runs them all: the state, adjoint and perturbation
+sweeps differ only in the coefficients, the boundary closure, the forcing and
+the direction of time.  Row j of a field's ``values`` is node j.
 
 State trajectory, forward in time, n = 0..N:
 
@@ -32,18 +31,25 @@ mid = 1 + dt*(1 - 2*mu/h^2 - eps/h) and the source dt*k1*y[., n], read
 straight from the state's rows.  The Robin closures are
 p[-1, n] = mu*p[0, n]/(mu - eps*h) and p[H+1, n] = (mu - eps*h)*p[H, n]/mu.
 
-The kernel works on a buffer with two ghost nodes per level (spatial index
--1 and H+1).  Just before the stencil reads a level it sets that level's
-ghosts from the affine closure ghost = gain*edge + shift, so the stencil
-itself is one ``np.correlate`` of the ghosted level with (lo, mid, hi).  The
-ghosts are the kernel's working layout: the returned fields are views of the
-buffer's physical columns.
+A sweep first writes all of its forcing into rows 1.. of the buffer.  For the
+state that is lo*(h/mu)*v[0, i] at node 0, hi*(h/mu)*v[M, i] at node H (the
+flux closures' share of the stencil) and dt*v[k, i]/h at each interior control
+node; for the adjoint it is dt*k1*y.  The kernel then makes two passes:
 
-The overflow guard |x| <= BLOWUP_LIMIT is checked once per block of
-GUARD_BLOCK steps, with overflow warnings silenced.  When a block fails, it
-is rescanned for its first bad level: the levels before it were computed
-exactly as a per-step guard would have computed them, so the reported step
-is the one a per-step guard reports.
+1. The levels are split into blocks of GUARD_BLOCK, marched side by side,
+   block 0 from the start and the others from zero.  One batched step sets
+   every block's ghost nodes (index -1 and H+1) to gain*edge and applies the
+   stencil as a single ``np.correlate`` over the stacked ghosted levels; the
+   ghosts keep neighbouring blocks apart.
+2. The step is linear, x -> A x, so level i of block b then lacks only
+   A^(i+1) c_b, c_b being the true level before the block.  The c_b are
+   carried from block to block through a dense A^GUARD_BLOCK, and the
+   missing terms are added with the same batched step.
+
+The guard |x| <= BLOWUP_LIMIT is checked after the march, GUARD_BLOCK levels
+at a time, with overflow warnings silenced.  When it fails, the forcing is
+written again and the march rerun as one block spanning every level, which
+is the plain per-step march, so the reported step is a per-step guard's.
 """
 
 from __future__ import annotations
@@ -69,9 +75,9 @@ __all__ = [
 # yet far below float overflow, so the guard fires before inf/nan spread.
 BLOWUP_LIMIT = 1e150
 
-# Steps marched between two checks of the overflow guard.  Checking a block
-# costs about as much as checking one level, and a blown-up march wastes at
-# most this many steps before it stops.
+# Levels per block of the march, and levels per chunk of the overflow guard.
+# A sweep of S steps makes about 2*GUARD_BLOCK batched steps and S/GUARD_BLOCK
+# carries, and a chunk of the guard stays small next to the trajectory.
 GUARD_BLOCK = 64
 
 
@@ -154,46 +160,62 @@ def _stencil(problem, advection_sign):
     )
 
 
-def _march(levels, stencil, gains, shifts, source, scale, nodes=slice(1, -1)):
-    """March ``levels[i] -> levels[i+1]`` in place for every i.
+def _march(levels, stencil, gains, block=GUARD_BLOCK):
+    """Run ``levels[i+1] += A levels[i]`` in place for every i, in blocks.
 
-    Parameters
-    ----------
-    levels : ndarray, shape (steps+1, H+3)
-        Time-major ghosted buffer in marching order; row 0 holds the start.
-    stencil : (lo, mid, hi)
-        Weights of the left neighbour, the node and the right neighbour.
-    gains, shifts : pairs for the left and right ghost
-        Before level i is read its ghosts are set to
-        gain*edge + shift[i], edge being the adjacent boundary node.
-    source, scale, nodes : 2-D array or None, float, index
-        ``scale*source[i]`` is added to ``levels[i+1][nodes]``; nodes
-        defaults to every physical node.
-
-    Returns
-    -------
-    int or None
-        Index of the first level with a magnitude beyond BLOWUP_LIMIT (or
-        not a number) on the physical nodes; None if the march completed.
+    ``levels`` is the (steps+1, H+1) buffer in marching order, row 0 the
+    start and row i+1 the forcing of the step from level i; ``stencil`` is
+    (lo, mid, hi); a level's left and right ghosts are gains[0]*edge and
+    gains[1]*edge; ``block`` is the number of levels per block.
     """
-    steps = len(levels) - 1
-    weights = np.asarray(stencil, dtype=float)
+    steps, width = len(levels) - 1, levels.shape[1]
     left_gain, right_gain = gains
-    left_shift, right_shift = shifts
+
+    def step(x):
+        """A applied to every row of the ghosted array x, as a new array."""
+        x[:, 0] = left_gain * x[:, 1]
+        x[:, -1] = right_gain * x[:, -2]
+        return np.correlate(x.ravel(), stencil, "same").reshape(x.shape)[:, 1:-1]
+
+    # Pass 1: row b of carry is the latest level of block b, the levels
+    # b*block+1.., marched from the start for b = 0 and from zero otherwise.
+    carry = np.zeros((-(-steps // block), width + 2))
+    carry[0, 1:-1] = levels[0]
+    for i in range(min(block, steps)):
+        rows = levels[i + 1 :: block]
+        rows += step(carry)[: len(rows)]
+        carry[: len(rows), 1:-1] = rows
+    if len(carry) == 1:
+        return
+    # Pass 2: row b of carry becomes c_b, the true level before block b, and
+    # then A^(i+1) c_b, the part level i of block b lacks.
+    power = np.linalg.matrix_power(step(np.eye(width, width + 2, 1)), block)  # (A^T)^block
+    carry[0] = 0.0
+    for b in range(1, len(carry)):
+        carry[b, 1:-1] = levels[b * block] + carry[b - 1, 1:-1] @ power
+    for i in range(block):
+        rows = levels[i + 1 :: block]
+        carry[:, 1:-1] = step(carry)
+        rows += carry[: len(rows), 1:-1]
+
+
+def _sweep(levels, force, stencil, gains):
+    """Write the forcing with ``force(levels[1:])``, march, and guard.
+
+    Returns the marching index of the first level beyond BLOWUP_LIMIT (or
+    not a number), as a per-step march reports it, or None.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, steps, GUARD_BLOCK):
-            stop = min(start + GUARD_BLOCK, steps)
-            for i in range(start, stop):
-                row, nxt = levels[i], levels[i + 1]
-                row[0] = left_gain * row[1] + left_shift[i]
-                row[-1] = right_gain * row[-2] + right_shift[i]
-                nxt[1:-1] = np.correlate(row, weights, "valid")
-                if source is not None:
-                    nxt[nodes] += scale * source[i]
-            bounded = np.abs(levels[start + 1 : stop + 1, 1:-1]) <= BLOWUP_LIMIT
-            if not bounded.all():
-                return start + 1 + int(np.argmin(bounded.all(axis=1)))
-    return None
+        for block in (GUARD_BLOCK, len(levels) - 1):
+            force(levels[1:])
+            _march(levels, stencil, gains, block)
+            for start in range(1, len(levels), GUARD_BLOCK):
+                chunk = levels[start : start + GUARD_BLOCK]
+                if not (-BLOWUP_LIMIT <= chunk.min() and chunk.max() <= BLOWUP_LIMIT):
+                    break
+            else:
+                return None
+    return start + int(np.argmin(np.all(np.abs(chunk) <= BLOWUP_LIMIT, axis=1)))
 
 
 def solve_state(problem, y0, control):
@@ -228,25 +250,22 @@ def solve_state(problem, y0, control):
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
     v = _checked_controls(g, control)
-    # Interior control nodes j_k = k*H/M sit at every (H/M)-th ghosted row.
     spacing = control_indices(g)[1]
-    interior_rows = slice(spacing + 1, H + 1, spacing)
+    lo, _, hi = stencil = _stencil(problem, -1.0)
 
-    # Time-major work array: work[n, r] with r the ghosted spatial index.
-    work = np.zeros((N + 2, H + 3))
-    work[0, 1:-1] = y0
-    bad = _march(
-        work,
-        _stencil(problem, -1.0),
-        gains=(1.0, 1.0),
-        shifts=((h / mu) * v[0], (h / mu) * v[M]),
-        source=v[1:M].T if M > 1 else None,
-        scale=dt / h,
-        nodes=interior_rows,
-    )
+    def force(rows):
+        rows[:] = 0.0
+        rows[:, 0] = lo * (h / mu) * v[0]
+        rows[:, H] = hi * (h / mu) * v[M]
+        rows[:, spacing:H:spacing] = (dt / h) * v[1:M].T
+
+    # Time-major work array: work[n, j] is node j at time level n.
+    work = np.empty((N + 2, H + 1))
+    work[0] = y0
+    bad = _sweep(work, force, stencil, gains=(1.0, 1.0))
     if bad is not None:
         raise SolverBlowUpError(step=bad)
-    return StateField(work[:, 1:-1].T)
+    return StateField(work.T)
 
 
 def solve_adjoint(problem, state):
@@ -275,21 +294,16 @@ def solve_adjoint(problem, state):
     left_gain = mu / (mu - eps * h)
     right_gain = (mu - eps * h) / mu
 
-    work = np.zeros((N + 1, H + 3))
-    work[N, 1:-1] = p.k2 * y[:, N + 1]
-    no_shift = np.zeros(N)
-    # Marching index i is time level N - i; the step from it reads y[., N - i].
-    bad = _march(
-        work[::-1],
-        _stencil(problem, 1.0),
-        gains=(left_gain, right_gain),
-        shifts=(no_shift, no_shift),
-        source=y.T[N:0:-1],
-        scale=dt * p.k1,
-    )
+    def force(rows):
+        # Marching index i is time level N - i; the step from it reads y[., N - i].
+        np.multiply(y.T[N:0:-1], dt * p.k1, out=rows)
+
+    work = np.empty((N + 1, H + 1))
+    work[N] = p.k2 * y[:, N + 1]
+    bad = _sweep(work[::-1], force, _stencil(problem, 1.0), gains=(left_gain, right_gain))
     if bad is not None:
         raise SolverBlowUpError(step=N - bad)
-    return AdjointField(work[:, 1:-1].T)
+    return AdjointField(work.T)
 
 
 def solve_perturbation(problem, control):

@@ -7,9 +7,27 @@ low-order Fourier curves in time and smooth profiles in space from a given
 coefficient array; tests draw the coefficients once from a seeded generator.
 """
 
+import tracemalloc
+
 import numpy as np
 
-from adrcontrol import ControlField
+from adrcontrol import ControlField, DiscreteProblem, PhysicalConfig, stable_step_count
+
+
+def default_problem(H=100, M=4):
+    """The default physics on its stable grid."""
+    phys = PhysicalConfig()
+    return DiscreteProblem.create(phys, N=stable_step_count(phys, H), H=H, M=M)
+
+
+def traced_peak(fn, *args):
+    """(result of fn(*args), peak bytes allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def smooth_controls(grid, horizon, coef):

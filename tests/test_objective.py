@@ -14,7 +14,7 @@ from adrcontrol import (
     solve_state,
 )
 
-from conftest import smooth_probe_set
+from conftest import default_problem, smooth_probe_set, traced_peak
 
 
 def make_problem(L=1.0, T=1.0, mu=0.1, eps=0.1, N=100, H=10, M=2, **weights):
@@ -93,6 +93,15 @@ class TestCost:
         J1 = cost(p, v, solve_state(p, np.zeros(11), v)).total
         J3 = cost(p, scaled, solve_state(p, np.zeros(11), scaled)).total
         assert J3 == pytest.approx(9.0 * J1, rel=1e-12)
+
+    def test_allocates_no_trajectory_sized_temporary(self):
+        p = default_problem()
+        rng = np.random.default_rng(3)
+        v = ControlField(rng.standard_normal((p.grid.M + 1, p.grid.N + 1)))
+        y = solve_state(p, rng.standard_normal(p.grid.H + 1), v)
+        c, peak = traced_peak(cost, p, v, y)
+        assert c.running_term > 0.0
+        assert peak < 0.05 * y.values.nbytes
 
     def test_rejects_shape_mismatch(self):
         p = make_problem(N=5)

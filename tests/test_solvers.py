@@ -14,9 +14,10 @@ from adrcontrol import (
     solve_perturbation,
     solve_state,
 )
+from adrcontrol import solvers
 from adrcontrol.solvers import BLOWUP_LIMIT, GUARD_BLOCK, StateField
 
-from conftest import smooth_probe_set
+from conftest import default_problem, smooth_probe_set, traced_peak
 
 
 def make_problem(L=1.0, T=1.0, mu=0.1, eps=0.1, N=100, H=10, M=2, **weights):
@@ -88,9 +89,9 @@ def boundary_update_defect(lo, mid, hi, left_ghost, x, right_ghost, nxt, source=
     )
 
 
-def unstable_problem():
+def unstable_problem(N=2503):
     # cfl ratio near 2 amplifies the highest mode by about 3 per step
-    p = DiscreteProblem.create(PhysicalConfig(mu=1.0, eps=0.1), N=2503, H=50, M=2)
+    p = DiscreteProblem.create(PhysicalConfig(mu=1.0, eps=0.1, T=N / 2503), N=N, H=50, M=2)
     assert cfl_ratio(p) > 1.9
     return p
 
@@ -186,6 +187,24 @@ class TestSolveState:
             assert step == blow_up_step(reference_state, p, y0, v.values)
             offsets.add(step % GUARD_BLOCK)
         assert 0 in offsets and len(offsets) == 3
+
+    def test_guard_reports_the_per_step_step_where_rounding_differs(self, monkeypatch):
+        # The blocked march differs from the per-step march in the last bits.
+        # With the limit at the per-step running peak on the first level where
+        # the blocked peak is higher, the blocked march crosses the limit on
+        # that level and the per-step march later: the later step is reported.
+        p = make_problem(N=400, H=10, M=2)
+        y0 = np.ones(11)
+        v = ControlField(np.abs(np.random.default_rng(0).standard_normal((3, 401))))
+        blocked = solve_state(p, y0, v).values
+        monkeypatch.setattr(solvers, "GUARD_BLOCK", p.grid.N + 1)  # one block
+        per_step = solve_state(p, y0, v).values
+        monkeypatch.undo()
+        peak, blocked_peak = (np.maximum.accumulate(np.abs(y).max(axis=0)) for y in (per_step, blocked))
+        first = int(np.argmax(blocked_peak > peak))
+        assert blocked_peak[first] > peak[first]
+        monkeypatch.setattr(solvers, "BLOWUP_LIMIT", peak[first])
+        assert blow_up_step(solve_state, p, y0, v) == np.argmax(peak > peak[first]) > first
 
     def test_deterministic_rerun(self):
         p = make_problem(N=30, H=6, M=2)
@@ -285,16 +304,14 @@ class TestSolveAdjoint:
 
 
 class TestKernelAgainstLoopReference:
-    """The shared march kernel against the per-step formulas, over many steps."""
+    """The blocked march kernel against the per-step formulas."""
 
     TOL = 1e-12  # relative to the largest magnitude of the reference
 
-    @pytest.mark.parametrize("eps", [0.3, -0.2])
-    def test_state_and_adjoint_match_plain_loops(self, eps):
-        p = make_problem(mu=0.1, eps=eps, N=1500, H=20, M=4, k1=0.7, k2=1.3)
+    def check_against_loops(self, p, seed):
         g = p.grid
         assert cfl_ratio(p) < 0.5
-        rng = np.random.default_rng(21)
+        rng = np.random.default_rng(seed)
         v = random_controls(g, rng)
         assert np.all(v.values != 0.0)
         y0 = rng.standard_normal(g.H + 1)
@@ -306,6 +323,53 @@ class TestKernelAgainstLoopReference:
         q = solve_adjoint(p, y)
         q_ref = reference_adjoint(p, y.values)
         assert np.abs(q.values - q_ref).max() <= self.TOL * np.abs(q_ref).max()
+
+    @pytest.mark.parametrize("eps", [0.3, -0.2])
+    def test_state_and_adjoint_match_plain_loops(self, eps):
+        p = make_problem(mu=0.1, eps=eps, N=1500, H=20, M=4, k1=0.7, k2=1.3)
+        self.check_against_loops(p, seed=21)
+
+    @pytest.mark.parametrize("levels", [GUARD_BLOCK - 1, GUARD_BLOCK, GUARD_BLOCK + 1, 3 * GUARD_BLOCK + 5])
+    @pytest.mark.parametrize("eps", [0.3, -0.2])
+    def test_block_boundaries_match_plain_loops(self, eps, levels):
+        # The state marches N+1 levels and the adjoint N, so over these two
+        # grids each sweep marches exactly `levels` levels once; dt = 1/1500.
+        for N in (levels - 1, levels):
+            p = make_problem(T=N / 1500, mu=0.1, eps=eps, N=N, H=20, M=4, k1=0.7, k2=1.3)
+            self.check_against_loops(p, seed=N)
+
+    def test_blow_up_in_a_short_last_block(self):
+        # 3*GUARD_BLOCK + 5 levels end in a block of 5.  From this amplitude
+        # the highest spatial mode overflows the guard inside that last block.
+        levels, alternating = 3 * GUARD_BLOCK + 5, (-1.0) ** np.arange(51)
+        p = unstable_problem(N=levels - 1)
+        zero = ControlField.zeros(p.grid)
+        step = blow_up_step(solve_state, p, 1e58 * alternating, zero)
+        assert step > 3 * GUARD_BLOCK
+        assert step == blow_up_step(reference_state, p, 1e58 * alternating, zero.values)
+
+        p = unstable_problem(N=levels)
+        values = np.zeros((51, p.grid.N + 2))
+        values[:, -1] = 1e58 * alternating
+        step = blow_up_step(solve_adjoint, p, StateField(values))
+        assert p.grid.N - step > 3 * GUARD_BLOCK
+        assert step == blow_up_step(reference_adjoint, p, values)
+
+
+class TestPeakMemory:
+    """A sweep allocates little beyond the trajectory it returns."""
+
+    LIMIT = 1.15  # peak bytes traced over the returned trajectory's bytes
+
+    def test_state_and_adjoint_sweeps(self):
+        p = default_problem()
+        g = p.grid
+        rng = np.random.default_rng(0)
+        v = random_controls(g, rng)
+        y, peak = traced_peak(solve_state, p, rng.standard_normal(g.H + 1), v)
+        assert peak <= self.LIMIT * y.values.nbytes
+        q, peak = traced_peak(solve_adjoint, p, y)
+        assert peak <= self.LIMIT * q.values.nbytes
 
 
 class TestDuality:

@@ -184,7 +184,7 @@ def write_state_csv(path, problem, state):
     g = problem.grid
     x = grid_nodes(g)
     labels = [f"{j},{_fmt(x[j])}" for j in range(g.H + 1)]
-    _write_levels(path, "n,t,j,x,y\n", g.dt, labels, state.interior.T)
+    _write_levels(path, "n,t,j,x,y\n", g.dt, labels, state.values.T)
 
 
 def write_controls_csv(path, problem, control):

@@ -31,29 +31,37 @@ mid = 1 + dt*(1 - 2*mu/h^2 - eps/h) and the source dt*k1*y[., n], read
 straight from the state's rows.  The Robin closures are
 p[-1, n] = mu*p[0, n]/(mu - eps*h) and p[H+1, n] = (mu - eps*h)*p[H, n]/mu.
 
-A sweep first writes all of its forcing into rows 1.. of the buffer.  For the
-state that is lo*(h/mu)*v[0, i] at node 0, hi*(h/mu)*v[M, i] at node H (the
-flux closures' share of the stencil) and dt*v[k, i]/h at each interior control
-node; for the adjoint it is dt*k1*y.  The kernel then makes two passes:
+A sweep writes each level of its trajectory exactly once and never reads it
+back.  Its forcing is added by a per-step callback: for the state the M+1
+control columns of the step, as lo*(h/mu)*v[0] at node 0, hi*(h/mu)*v[M] at
+node H (the flux closures' share of the stencil) and dt*v[k]/h at each
+interior control node; for the adjoint dt*k1 times the state's row.  The
+kernel splits the levels into blocks of GUARD_BLOCK and makes two passes:
 
-1. The levels are split into blocks of GUARD_BLOCK, marched side by side,
-   block 0 from the start and the others from zero.  One batched step sets
-   every block's ghost nodes (index -1 and H+1) to gain*edge and applies the
-   stencil as a single ``np.correlate`` over the stacked ghosted levels; the
-   ghosts keep neighbouring blocks apart.
-2. The step is linear, x -> A x, so level i of block b then lacks only
-   A^(i+1) c_b, c_b being the true level before the block.  The c_b are
-   carried from block to block through a dense A^GUARD_BLOCK, and the
-   missing terms are added with the same batched step.
+1. Every block but the last is marched side by side to its end, block 0
+   from the start and the others from zero, in one contiguous carry array
+   with a row per block.  A batched step is one ``np.correlate`` over the
+   flattened rows; the boundary columns, which it mixes with the
+   neighbouring rows, are then recomputed with the ghost nodes (index -1
+   and H+1) set to gain*edge.  The step is linear, x -> A x, so the true
+   level before block b is the zero-start end of block b-1 plus
+   A^GUARD_BLOCK times the level before block b-1: the ends are carried
+   through a dense (A^T)^GUARD_BLOCK, computed once per stencil, gains and
+   width.
+2. Every block is marched again from its true start.  Each level is
+   checked against the guard |x| <= BLOWUP_LIMIT while it is still in the
+   carry, then written to the trajectory; a short last block leaves the
+   carry when its levels run out, so nothing past the end is marched.
 
-The guard |x| <= BLOWUP_LIMIT is checked after the march, GUARD_BLOCK levels
-at a time, with overflow warnings silenced.  When it fails, the forcing is
-written again and the march rerun as one block spanning every level, which
-is the plain per-step march, so the reported step is a per-step guard's.
+Overflow warnings are silenced.  When a level fails the guard, the sweep is
+marched again as one block spanning every level, which is the plain
+per-step march, so the reported step is a per-step guard's; a sweep of at
+most GUARD_BLOCK levels is one block already.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +83,8 @@ __all__ = [
 # yet far below float overflow, so the guard fires before inf/nan spread.
 BLOWUP_LIMIT = 1e150
 
-# Levels per block of the march, and levels per chunk of the overflow guard.
-# A sweep of S steps makes about 2*GUARD_BLOCK batched steps and S/GUARD_BLOCK
-# carries, and a chunk of the guard stays small next to the trajectory.
+# Levels per block of the march.  A sweep of S steps makes about
+# 2*GUARD_BLOCK batched steps and S/GUARD_BLOCK carries.
 GUARD_BLOCK = 64
 
 
@@ -160,62 +167,83 @@ def _stencil(problem, advection_sign):
     )
 
 
-def _march(levels, stencil, gains, block=GUARD_BLOCK):
-    """Run ``levels[i+1] += A levels[i]`` in place for every i, in blocks.
+def _step(x, stencil, gains):
+    """A applied to every row of x, as a new array.
 
-    ``levels`` is the (steps+1, H+1) buffer in marching order, row 0 the
-    start and row i+1 the forcing of the step from level i; ``stencil`` is
-    (lo, mid, hi); a level's left and right ghosts are gains[0]*edge and
-    gains[1]*edge; ``block`` is the number of levels per block.
+    One ``np.correlate`` over the flattened rows gives every interior node;
+    the two boundary columns, which it mixes with the neighbouring rows, are
+    recomputed with the ghosts gains[0]*x[:, 0] and gains[1]*x[:, -1].
+    """
+    lo, mid, hi = stencil
+    y = np.correlate(x.ravel(), stencil, "same").reshape(x.shape)
+    y[:, 0] = lo * (gains[0] * x[:, 0]) + mid * x[:, 0] + hi * x[:, 1]
+    y[:, -1] = lo * x[:, -2] + mid * x[:, -1] + hi * (gains[1] * x[:, -1])
+    return y
+
+
+@functools.lru_cache(maxsize=8)
+def _power(stencil, gains, width, block):
+    """The dense (A^T)^block of a sweep kind, read-only."""
+    power = np.linalg.matrix_power(_step(np.eye(width), stencil, gains), block)
+    power.setflags(write=False)
+    return power
+
+
+def _march(levels, stencil, gains, force, block):
+    """Fill ``levels[1:]`` by ``levels[i+1] = A levels[i] + forcing``, in blocks.
+
+    ``levels`` is the (steps+1, H+1) buffer in marching order with the start
+    in row 0; ``stencil`` is (lo, mid, hi); a level's left and right ghosts
+    are gains[0]*edge and gains[1]*edge; ``force(rows, steps)`` adds to each
+    row of ``rows`` the forcing of its step, ``steps`` being the slice of
+    their marching indices; ``block`` is the number of levels per block.
+
+    Stops at the first level that fails the guard and returns i + 1, i being
+    its step within its block: with one block, its marching index.  Returns
+    None when every level passes.
     """
     steps, width = len(levels) - 1, levels.shape[1]
-    left_gain, right_gain = gains
-
-    def step(x):
-        """A applied to every row of the ghosted array x, as a new array."""
-        x[:, 0] = left_gain * x[:, 1]
-        x[:, -1] = right_gain * x[:, -2]
-        return np.correlate(x.ravel(), stencil, "same").reshape(x.shape)[:, 1:-1]
-
-    # Pass 1: row b of carry is the latest level of block b, the levels
-    # b*block+1.., marched from the start for b = 0 and from zero otherwise.
-    carry = np.zeros((-(-steps // block), width + 2))
-    carry[0, 1:-1] = levels[0]
+    blocks = -(-steps // block)
+    # Row b of starts is the true level before block b.
+    starts = np.empty((blocks, width))
+    starts[0] = levels[0]
+    if blocks > 1:
+        # Pass 1: every block but the last, marched from zero (block 0 from
+        # the start) to its end, then the ends carried through A^block.
+        x = np.zeros((blocks - 1, width))
+        x[0] = levels[0]
+        for i in range(block):
+            x = _step(x, stencil, gains)
+            force(x, slice(i, i + len(x) * block, block))
+        starts[1:] = x
+        power = _power(stencil, gains, width, block)
+        for b in range(2, blocks):
+            starts[b] += starts[b - 1] @ power
+    # Pass 2: every block from its true start; level i+1 of each is guarded
+    # and written once.  A short last block drops out of x when it ends.
+    x = starts
     for i in range(min(block, steps)):
         rows = levels[i + 1 :: block]
-        rows += step(carry)[: len(rows)]
-        carry[: len(rows), 1:-1] = rows
-    if len(carry) == 1:
-        return
-    # Pass 2: row b of carry becomes c_b, the true level before block b, and
-    # then A^(i+1) c_b, the part level i of block b lacks.
-    power = np.linalg.matrix_power(step(np.eye(width, width + 2, 1)), block)  # (A^T)^block
-    carry[0] = 0.0
-    for b in range(1, len(carry)):
-        carry[b, 1:-1] = levels[b * block] + carry[b - 1, 1:-1] @ power
-    for i in range(block):
-        rows = levels[i + 1 :: block]
-        carry[:, 1:-1] = step(carry)
-        rows += carry[: len(rows), 1:-1]
+        x = _step(x[: len(rows)], stencil, gains)
+        force(x, slice(i, i + len(x) * block, block))
+        if not (-BLOWUP_LIMIT <= x.min() and x.max() <= BLOWUP_LIMIT):
+            return i + 1
+        rows[...] = x
+    return None
 
 
 def _sweep(levels, force, stencil, gains):
-    """Write the forcing with ``force(levels[1:])``, march, and guard.
+    """March ``levels`` with the forcing ``force``, guarding every level.
 
     Returns the marching index of the first level beyond BLOWUP_LIMIT (or
     not a number), as a per-step march reports it, or None.
     """
+    steps = len(levels) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in (GUARD_BLOCK, len(levels) - 1):
-            force(levels[1:])
-            _march(levels, stencil, gains, block)
-            for start in range(1, len(levels), GUARD_BLOCK):
-                chunk = levels[start : start + GUARD_BLOCK]
-                if not (-BLOWUP_LIMIT <= chunk.min() and chunk.max() <= BLOWUP_LIMIT):
-                    break
-            else:
-                return None
-    return start + int(np.argmin(np.all(np.abs(chunk) <= BLOWUP_LIMIT, axis=1)))
+        bad = _march(levels, stencil, gains, force, GUARD_BLOCK)
+        if bad is not None and steps > GUARD_BLOCK:
+            bad = _march(levels, stencil, gains, force, steps)
+    return bad
 
 
 def solve_state(problem, y0, control):
@@ -250,14 +278,15 @@ def solve_state(problem, y0, control):
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
     v = _checked_controls(g, control)
-    spacing = control_indices(g)[1]
     lo, _, hi = stencil = _stencil(problem, -1.0)
+    # Control k enters at node nodes[k], scaled by weights[k]: the flux
+    # closures' share of the stencil at the ends, dt/h at interior nodes.
+    nodes = control_indices(g)
+    weights = np.full(M + 1, dt / h)
+    weights[0], weights[M] = lo * (h / mu), hi * (h / mu)
 
-    def force(rows):
-        rows[:] = 0.0
-        rows[:, 0] = lo * (h / mu) * v[0]
-        rows[:, H] = hi * (h / mu) * v[M]
-        rows[:, spacing:H:spacing] = (dt / h) * v[1:M].T
+    def force(rows, steps):
+        rows[:, nodes] += weights * v[:, steps].T
 
     # Time-major work array: work[n, j] is node j at time level n.
     work = np.empty((N + 2, H + 1))
@@ -294,9 +323,11 @@ def solve_adjoint(problem, state):
     left_gain = mu / (mu - eps * h)
     right_gain = (mu - eps * h) / mu
 
-    def force(rows):
-        # Marching index i is time level N - i; the step from it reads y[., N - i].
-        np.multiply(y.T[N:0:-1], dt * p.k1, out=rows)
+    # Marching index i is time level N - i; the step from it reads y[., N - i].
+    source = y.T[N:0:-1]
+
+    def force(rows, steps):
+        rows += (dt * p.k1) * source[steps]
 
     work = np.empty((N + 1, H + 1))
     work[N] = p.k2 * y[:, N + 1]

@@ -356,6 +356,60 @@ class TestKernelAgainstLoopReference:
         assert step == blow_up_step(reference_adjoint, p, values)
 
 
+    def test_overrun_of_a_short_last_block(self, monkeypatch):
+        # 3*GUARD_BLOCK + 5 levels end in a block of 5.  From this amplitude
+        # the per-step march stays under the guard through the last level and
+        # crosses it within the next GUARD_BLOCK steps, so a last block marched
+        # to its full length would trip the guard or write past the end.
+        levels, alternating = 3 * GUARD_BLOCK + 5, (-1.0) ** np.arange(51)
+        marches = []
+        march = solvers._march
+        monkeypatch.setattr(solvers, "_march", lambda *args: marches.append(args[-1]) or march(*args))
+
+        longer = unstable_problem(N=levels - 1 + GUARD_BLOCK)
+        y0, zero = 1e45 * alternating, np.zeros((3, longer.grid.N + 1))
+        assert levels < blow_up_step(reference_state, longer, y0, zero) < levels + GUARD_BLOCK - 5
+        p = unstable_problem(N=levels - 1)
+        y = solve_state(p, y0, ControlField.zeros(p.grid)).values
+        y_ref = reference_state(p, y0, zero[:, : p.grid.N + 1])
+        assert np.abs(y - y_ref).max() <= self.TOL * np.abs(y_ref).max()
+
+        longer = unstable_problem(N=levels + GUARD_BLOCK)
+        values = np.zeros((51, longer.grid.N + 2))
+        values[:, -1] = 1e45 * alternating
+        crossed = longer.grid.N - blow_up_step(reference_adjoint, longer, values)
+        assert levels < crossed < levels + GUARD_BLOCK - 5
+        p = unstable_problem(N=levels)
+        q = solve_adjoint(p, StateField(values[:, -(p.grid.N + 2) :])).values
+        q_ref = reference_adjoint(p, values[:, -(p.grid.N + 2) :])
+        assert np.abs(q - q_ref).max() <= self.TOL * np.abs(q_ref).max()
+        assert marches == [GUARD_BLOCK, GUARD_BLOCK]  # neither sweep reran
+
+
+class TestCarryPower:
+    """The dense (A^T)^GUARD_BLOCK is computed once per kind of sweep."""
+
+    def test_computed_once_per_sweep_kind(self, monkeypatch):
+        solvers._power.cache_clear()
+        powers = []
+        matrix_power = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda a, n: powers.append(n) or matrix_power(a, n))
+        p = make_problem(N=400, H=10, M=2)
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            v = random_controls(p.grid, rng)
+            y = solve_state(p, rng.standard_normal(11), v)
+            solve_perturbation(p, v)
+            solve_adjoint(p, y)
+        assert powers == [GUARD_BLOCK, GUARD_BLOCK]  # the state's and the adjoint's
+
+    def test_is_read_only(self):
+        p = make_problem(N=400, H=10, M=2)
+        power = solvers._power(solvers._stencil(p, -1.0), (1.0, 1.0), 11, GUARD_BLOCK)
+        with pytest.raises(ValueError):
+            power[0, 0] = 0.0
+
+
 class TestPeakMemory:
     """A sweep allocates little beyond the trajectory it returns."""
 

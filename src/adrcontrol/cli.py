@@ -5,8 +5,8 @@ Subcommands:
   demo-instability   print the explicit Euler trajectory of the reaction ODE
   check              validate a grid and report its stability ratio
 
-Exit codes: 0 success, 1 invalid configuration, 2 solver blow-up,
-3 output I/O error.
+Exit codes: 0 success, 1 invalid configuration (also a float overflow or underflow
+while deriving the grid), 2 solver blow-up or CG curvature loss, 3 output I/O error.
 """
 
 from __future__ import annotations
@@ -16,13 +16,15 @@ import sys
 from pathlib import Path
 
 from .discretization import (
+    REFUSE_RATIO,
+    WARN_RATIO,
     DiscreteProblem,
     PhysicalConfig,
     cfl_ratio,
     control_indices,
     stable_step_count,
 )
-from .errors import ConfigurationError, SolverBlowUpError
+from .errors import ConfigurationError, CurvatureLossError, SolverBlowUpError
 from .harness import (
     STATUS_BLOWUP,
     ExperimentSpec,
@@ -196,11 +198,11 @@ def _cmd_check(args, out):
             f"cfl_ratio={ratio:.6g} control_nodes={idx}",
             file=out,
         )
-        if ratio > 2.0:
-            print(f"M={m}: stability ratio exceeds 2; run would be refused", file=out)
+        if ratio > REFUSE_RATIO:
+            print(f"M={m}: stability ratio exceeds {REFUSE_RATIO:g}; run would be refused", file=out)
             status = EXIT_CONFIG
-        elif ratio > 1.0:
-            print(f"M={m}: warning, stability ratio exceeds 1", file=out)
+        elif ratio > WARN_RATIO:
+            print(f"M={m}: warning, stability ratio exceeds {WARN_RATIO:g}", file=out)
     return status
 
 
@@ -214,11 +216,11 @@ def main(argv=None):
         if args.command == "demo-instability":
             return _cmd_demo(args, out)
         return _cmd_check(args, out)
-    except (ConfigurationError, ValueError) as exc:
+    except (ConfigurationError, ValueError, ArithmeticError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverBlowUpError as exc:
-        print(f"error: solver blow-up: {exc}", file=sys.stderr)
+    except (SolverBlowUpError, CurvatureLossError) as exc:
+        print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     except OSError as exc:
         print(f"error: output failure: {exc}", file=sys.stderr)

@@ -26,6 +26,10 @@ __all__ = [
     "stable_step_count",
 ]
 
+# Stability policy for cfl_ratio: runs warn above WARN_RATIO and are refused above REFUSE_RATIO.
+WARN_RATIO = 1.0
+REFUSE_RATIO = 2.0
+
 
 @dataclass(frozen=True)
 class PhysicalConfig:
@@ -138,9 +142,8 @@ def control_indices(grid):
 def cfl_ratio(problem):
     """Stability ratio dt*(2*mu/h^2 + eps/h) of the explicit scheme.
 
-    Values at or below 1 are stable.  Above 1 the scheme amplifies high
-    frequencies; callers are expected to warn between 1 and 2 and refuse
-    to run beyond 2.
+    Values at or below WARN_RATIO are stable.  Above it the scheme
+    amplifies high frequencies; WARN_RATIO and REFUSE_RATIO are the policy.
     """
     g, p = problem.grid, problem.phys
     return g.dt * (2.0 * p.mu / g.h**2 + p.eps / g.h)
@@ -152,10 +155,10 @@ def grid_nodes(grid):
     return np.arange(grid.H + 1) * L / grid.H
 
 
-def stable_step_count(phys, H, limit=0.5):
-    """Smallest N keeping the stability ratio at or below ``limit``."""
-    if limit <= 0.0:
-        raise ConfigurationError("stability limit must be positive")
+def stable_step_count(phys, H):
+    """Smallest N keeping the stability ratio at or below 0.5."""
+    if not isinstance(H, int) or isinstance(H, bool) or H < 1:
+        raise ConfigurationError("H must be an integer >= 1")
     h = phys.L / H
     rate = 2.0 * phys.mu / h**2 + phys.eps / h
-    return max(1, math.ceil(phys.T * rate / limit))
+    return max(1, math.ceil(phys.T * rate / 0.5))

@@ -21,10 +21,17 @@ from typing import Optional
 
 import numpy as np
 
-from .discretization import DiscreteProblem, cfl_ratio, grid_nodes
+from .discretization import (
+    REFUSE_RATIO,
+    WARN_RATIO,
+    DiscreteProblem,
+    cfl_ratio,
+    control_indices,
+    grid_nodes,
+)
 from .errors import ConfigurationError, SolverBlowUpError
 from .objective import CostBreakdown, inner_product
-from .optimizer import CGConfig, CGReport, STATUS_TRIVIAL, cg_solve
+from .optimizer import CGConfig, CGReport, cg_solve
 from .solvers import ControlField, StateField, solve_state
 
 __all__ = [
@@ -119,28 +126,25 @@ class ExperimentSpec:
         counts = tuple(self.control_counts)
         if not counts:
             raise ConfigurationError("control_counts must not be empty")
-        H = self.problem.grid.H
+        g = self.problem.grid
         for m in counts:
-            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-                raise ConfigurationError("control counts must be integers >= 1")
-            if H % m != 0:
-                raise ConfigurationError(f"control count M={m} does not divide H={H}")
+            DiscreteProblem.create(self.problem.phys, g.N, g.H, m)  # rejects a bad count
         object.__setattr__(self, "control_counts", counts)
 
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Result row of one run; metric fields are None after a blow-up."""
+    """Result row of one run; metric fields stay None after a blow-up."""
 
     M: int
     status: str
     iterations: int
     cfl_ratio: float
     base_key: str
-    cost: Optional[CostBreakdown]
-    control_energy: Optional[float]
-    terminal_norm: Optional[float]
-    uncontrolled_terminal_norm: Optional[float]
+    cost: Optional[CostBreakdown] = None
+    control_energy: Optional[float] = None
+    terminal_norm: Optional[float] = None
+    uncontrolled_terminal_norm: Optional[float] = None
     run_dir: Optional[Path] = None
     control: Optional[ControlField] = None
     state: Optional[StateField] = None
@@ -190,8 +194,7 @@ def write_state_csv(path, problem, state):
 def write_controls_csv(path, problem, control):
     g = problem.grid
     x = grid_nodes(g)
-    step = g.H // g.M
-    labels = [f"{k},{_fmt(x[k * step])}" for k in range(g.M + 1)]
+    labels = [f"{k},{_fmt(x[j])}" for k, j in enumerate(control_indices(g))]
     _write_levels(path, "n,t,k,x_k,v\n", g.dt, labels, control.values.T)
 
 
@@ -218,18 +221,17 @@ _SUMMARY_KEYS = (
 
 
 def write_summary_txt(path, row):
+    optional = {
+        "J_total": None if row.cost is None else row.cost.total,
+        "control_energy": row.control_energy,
+        "terminal_norm": row.terminal_norm,
+        "uncontrolled_terminal_norm": row.uncontrolled_terminal_norm,
+    }
     values = {
         "M": str(row.M),
         "iterations": str(row.iterations),
         "status": row.status,
-        "J_total": _fmt(row.cost.total) if row.cost is not None else "nan",
-        "control_energy": _fmt(row.control_energy) if row.control_energy is not None else "nan",
-        "terminal_norm": _fmt(row.terminal_norm) if row.terminal_norm is not None else "nan",
-        "uncontrolled_terminal_norm": (
-            _fmt(row.uncontrolled_terminal_norm)
-            if row.uncontrolled_terminal_norm is not None
-            else "nan"
-        ),
+        **{key: "nan" if v is None else _fmt(v) for key, v in optional.items()},
         "cfl_ratio": _fmt(row.cfl_ratio),
     }
     with open(path, "w", newline="") as fh:
@@ -242,19 +244,20 @@ def run_experiment(spec):
 
     Returns one ExperimentSummary per control count, in the order requested.
     A solver blow-up is recorded in that run's row (status "blow_up") and
-    does not abort the remaining runs.  Stability policy: ratios above 1
-    raise a warning, ratios above 2 are refused outright.
+    does not abort the remaining runs.  Stability policy: ratios above
+    WARN_RATIO raise a warning, ratios above REFUSE_RATIO are refused outright.
     """
     phys = spec.problem.phys
     base_grid = spec.problem.grid
     ratio = cfl_ratio(spec.problem)
-    if ratio > 2.0:
+    if ratio > REFUSE_RATIO:
         raise ConfigurationError(
-            f"stability ratio {ratio:.4g} exceeds 2; refusing to run the explicit scheme"
+            f"stability ratio {ratio:.4g} exceeds {REFUSE_RATIO:g}; "
+            "refusing to run the explicit scheme"
         )
-    if ratio > 1.0:
+    if ratio > WARN_RATIO:
         warnings.warn(
-            f"stability ratio {ratio:.4g} exceeds 1; the explicit scheme may blow up",
+            f"stability ratio {ratio:.4g} exceeds {WARN_RATIO:g}; the explicit scheme may blow up",
             stacklevel=2,
         )
 
@@ -277,50 +280,35 @@ def run_experiment(spec):
         run_dir = spec.output_dir / f"{spec.ic.kind}_{m}"
         run_dir.mkdir(parents=True, exist_ok=True)
 
-        error = uncontrolled_error
-        control = report = None
-        if error is None:
+        # A blow-up row differs from a solved one only in its metrics.
+        metrics = dict(status=STATUS_BLOWUP, iterations=0, error=uncontrolled_error)
+        if uncontrolled_error is None:
             try:
                 control, report = cg_solve(problem, y0, spec.cg)
             except SolverBlowUpError as exc:
-                error = str(exc)
-
-        if error is not None:
-            row = ExperimentSummary(
-                M=m,
-                status=STATUS_BLOWUP,
-                iterations=report.iterations if report is not None else 0,
-                cfl_ratio=ratio,
-                base_key=key,
-                cost=None,
-                control_energy=None,
-                terminal_norm=None,
-                uncontrolled_terminal_norm=uncontrolled_norm,
-                run_dir=run_dir,
-                error=error,
-            )
-            write_summary_txt(run_dir / "summary.txt", row)
-            rows.append(row)
-            continue
-
+                metrics["error"] = str(exc)
+            else:
+                metrics = dict(
+                    status=report.status,
+                    iterations=report.iterations,
+                    cost=report.cost_history[-1],
+                    control_energy=inner_product(problem.grid, control, control),
+                    terminal_norm=_terminal_norm(problem.grid, report.state.terminal),
+                    control=control,
+                    state=report.state,
+                    report=report,
+                )
+                write_state_csv(run_dir / "state.csv", problem, report.state)
+                write_controls_csv(run_dir / "controls.csv", problem, control)
+                write_convergence_csv(run_dir / "convergence.csv", report)
         row = ExperimentSummary(
             M=m,
-            status=report.status,
-            iterations=report.iterations,
             cfl_ratio=ratio,
             base_key=key,
-            cost=report.cost_history[-1],
-            control_energy=inner_product(problem.grid, control, control),
-            terminal_norm=_terminal_norm(problem.grid, report.state.terminal),
             uncontrolled_terminal_norm=uncontrolled_norm,
             run_dir=run_dir,
-            control=control,
-            state=report.state,
-            report=report,
+            **metrics,
         )
-        write_state_csv(run_dir / "state.csv", problem, report.state)
-        write_controls_csv(run_dir / "controls.csv", problem, control)
-        write_convergence_csv(run_dir / "convergence.csv", report)
         write_summary_txt(run_dir / "summary.txt", row)
         rows.append(row)
     return rows

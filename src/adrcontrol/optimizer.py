@@ -122,22 +122,14 @@ def cg_solve(problem, y0, config=None):
 
     gg0 = g.dt * float(np.sum(grad * grad))
     cost_history = [cost(problem, ControlField(u), StateField(y))]
+    # A vanishing initial gradient makes u = 0 exact: the loop runs zero times.
     if gg0 == 0.0:
-        report = CGReport(
-            iterations=0,
-            status=STATUS_TRIVIAL,
-            cost_history=tuple(cost_history),
-            grad_ratio_history=(0.0,),
-            state=StateField(y),
-        )
-        return ControlField(u), report
-
-    ratio_history = [1.0]
+        status, iterations, ratio_history = STATUS_TRIVIAL, 0, [0.0]
+    else:
+        status, iterations, ratio_history = STATUS_MAX_ITER, max_iter, [1.0]
     w = grad.copy()
     gg = gg0
-    status = STATUS_MAX_ITER
-    iterations = max_iter
-    for m in range(max_iter):
+    for m in range(iterations):
         direction = ControlField(w)
         dy = None  # release the previous perturbation before the next is allocated
         dy = solve_perturbation(problem, direction)

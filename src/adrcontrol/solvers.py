@@ -143,14 +143,6 @@ class AdjointField:
         object.__setattr__(self, "values", v)
 
 
-def _checked_controls(grid, control):
-    v = control.values
-    expected = (grid.M + 1, grid.N + 1)
-    if v.shape != expected:
-        raise ValueError(f"control field shape {v.shape} does not match grid {expected}")
-    return v
-
-
 def _stencil(problem, advection_sign):
     """Weights (lo, mid, hi) of x + dt*(mu*D2 x + advection_sign*eps*D+ x + x).
 
@@ -277,7 +269,9 @@ def solve_state(problem, y0, control):
         raise ValueError(f"initial state must have shape ({H + 1},), got {y0.shape}")
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
-    v = _checked_controls(g, control)
+    v = control.values
+    if v.shape != (M + 1, N + 1):
+        raise ValueError(f"control field shape {v.shape} does not match grid {(M + 1, N + 1)}")
     lo, _, hi = stencil = _stencil(problem, -1.0)
     # Control k enters at node nodes[k], scaled by weights[k]: the flux
     # closures' share of the stencil at the ends, dt/h at interior nodes.

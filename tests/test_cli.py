@@ -96,6 +96,23 @@ class TestRun:
         assert rc == 1
         assert "invalid configuration" in capsys.readouterr().err
 
+    def test_zero_cells_with_the_default_step_count(self, tmp_path, capsys):
+        assert main(["run", "--H", "0", "--M", "2", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid configuration")
+
+    def test_curvature_loss_exit_code(self, tmp_path, capsys):
+        # Ratio 1.52 only warns; with k0 = 1e-10 the amplified sweeps give
+        # CG a negative curvature in its first iteration.
+        with pytest.warns(UserWarning):
+            rc = main([
+                "run", "--ic", "sine", "--frequency", "1", "--mu", "0.01", "--eps", "1.5",
+                "--k0", "1e-10", "--H", "20", "--N", "25", "--M", "2", "--out", str(tmp_path),
+            ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "nonpositive curvature" in err
+
     def test_output_io_failure(self, tmp_path):
         blocker = tmp_path / "occupied"
         blocker.write_text("file, not a directory\n")

@@ -151,11 +151,16 @@ class TestStableStepCount:
         p = DiscreteProblem.create(phys, N=n, H=100, M=2)
         assert cfl_ratio(p) <= 0.5
 
+    @pytest.mark.parametrize("H", [0, -3, 2.5, True])
+    def test_rejects_invalid_cell_count(self, H):
+        with pytest.raises(ConfigurationError):
+            stable_step_count(PhysicalConfig(), H)
+
     def test_is_smallest(self):
         phys = PhysicalConfig(mu=0.07, eps=0.3)
-        n = stable_step_count(phys, H=40, limit=0.8)
+        n = stable_step_count(phys, H=40)
         ok = DiscreteProblem.create(phys, N=n, H=40, M=2)
-        assert cfl_ratio(ok) <= 0.8
+        assert cfl_ratio(ok) <= 0.5
         if n > 1:
             tight = DiscreteProblem.create(phys, N=n - 1, H=40, M=2)
-            assert cfl_ratio(tight) > 0.8
+            assert cfl_ratio(tight) > 0.5

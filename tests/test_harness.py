@@ -11,6 +11,8 @@ from adrcontrol import (
     ExperimentSpec,
     InitialCondition,
     PhysicalConfig,
+    SolverBlowUpError,
+    cg_solve,
     compare_controls,
     grid_nodes,
     make_initial_condition,
@@ -292,6 +294,29 @@ class TestRunExperiment:
             assert keys == list(_SUMMARY_KEYS)
             assert summary["status"] == STATUS_BLOWUP
             assert summary["J_total"] == "nan"
+
+    def test_blow_up_of_one_count_after_a_sound_baseline(self, tmp_path, monkeypatch):
+        def cg_solve_blowing_up_for_m5(problem, y0, config):
+            if problem.grid.M == 5:
+                raise SolverBlowUpError(step=7)
+            return cg_solve(problem, y0, config)
+
+        monkeypatch.setattr(harness, "cg_solve", cg_solve_blowing_up_for_m5)
+        spec = small_spec(tmp_path / "out", counts=(2, 5))
+        converged, blown = run_experiment(spec)
+
+        assert converged.status == "converged"
+        assert converged.uncontrolled_terminal_norm is not None
+        assert blown.status == STATUS_BLOWUP
+        assert blown.iterations == 0
+        assert "time step 7" in blown.error
+        assert blown.cost is None and blown.terminal_norm is None and blown.report is None
+        assert blown.uncontrolled_terminal_norm == converged.uncontrolled_terminal_norm
+        keys, summary = read_summary(blown.run_dir / "summary.txt")
+        assert keys == list(_SUMMARY_KEYS)
+        assert summary["J_total"] == "nan"
+        assert summary["uncontrolled_terminal_norm"] == _fmt(converged.uncontrolled_terminal_norm)
+        assert not (blown.run_dir / "state.csv").exists()
 
     def test_refuses_severely_unstable_grid(self, tmp_path):
         spec = small_spec(tmp_path / "out", mu=1.0, N=2000, H=50)

@@ -6,7 +6,8 @@ Subcommands:
   check              validate a grid and report its stability ratio
 
 Exit codes: 0 success, 1 invalid configuration (also a float overflow or underflow
-while deriving the grid), 2 solver blow-up or CG curvature loss, 3 output I/O error.
+while deriving the grid), 2 a solver failure (blow-up or CG curvature loss) in some
+count's row, each named on stderr, 3 output I/O error.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from .discretization import (
     control_indices,
     stable_step_count,
 )
-from .errors import ConfigurationError, CurvatureLossError, SolverBlowUpError
+from .errors import ConfigurationError
 from .harness import (
-    STATUS_BLOWUP,
     ExperimentSpec,
     InitialCondition,
     compare_controls,
@@ -166,9 +166,10 @@ def _cmd_run(args, out):
             fh.write("\n".join(table.csv_lines()) + "\n")
         print(f"comparison table written to {comparison_path}", file=out)
 
-    if any(row.status == STATUS_BLOWUP for row in rows):
-        return EXIT_BLOWUP
-    return EXIT_OK
+    failed = [row for row in rows if row.error is not None]
+    for row in failed:
+        print(f"error: solver failure: M={row.M}: {row.error}", file=sys.stderr)
+    return EXIT_BLOWUP if failed else EXIT_OK
 
 
 def _cmd_demo(args, out):
@@ -219,9 +220,6 @@ def main(argv=None):
     except (ConfigurationError, ValueError, ArithmeticError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverBlowUpError, CurvatureLossError) as exc:
-        print(f"error: solver failure: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
     except OSError as exc:
         print(f"error: output failure: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -139,14 +139,19 @@ def control_indices(grid):
     return [k * step for k in range(grid.M + 1)]
 
 
+def _rate(phys, h):
+    """Rate 2*mu/h^2 + |eps|/h at which the state (eps < 0) or the adjoint
+    (eps > 0) stencil drains its diagonal weight per unit time."""
+    return 2.0 * phys.mu / h**2 + abs(phys.eps) / h
+
+
 def cfl_ratio(problem):
-    """Stability ratio dt*(2*mu/h^2 + eps/h) of the explicit scheme.
+    """Stability ratio dt*(2*mu/h^2 + |eps|/h) of the explicit scheme.
 
     Values at or below WARN_RATIO are stable.  Above it the scheme
     amplifies high frequencies; WARN_RATIO and REFUSE_RATIO are the policy.
     """
-    g, p = problem.grid, problem.phys
-    return g.dt * (2.0 * p.mu / g.h**2 + p.eps / g.h)
+    return problem.grid.dt * _rate(problem.phys, problem.grid.h)
 
 
 def grid_nodes(grid):
@@ -159,6 +164,4 @@ def stable_step_count(phys, H):
     """Smallest N keeping the stability ratio at or below 0.5."""
     if not isinstance(H, int) or isinstance(H, bool) or H < 1:
         raise ConfigurationError("H must be an integer >= 1")
-    h = phys.L / H
-    rate = 2.0 * phys.mu / h**2 + phys.eps / h
-    return max(1, math.ceil(phys.T * rate / 0.5))
+    return max(1, math.ceil(phys.T * _rate(phys, phys.L / H) / 0.5))

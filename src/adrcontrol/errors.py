@@ -8,6 +8,8 @@ class ConfigurationError(ValueError):
 class SolverBlowUpError(RuntimeError):
     """Explicit time stepping exceeded the overflow guard and was aborted."""
 
+    status = "blow_up"
+
     def __init__(self, step, message=None):
         self.step = step
         if message is None:
@@ -21,6 +23,8 @@ class CurvatureLossError(RuntimeError):
     The quadratic model underlying the step length is unusable when this
     happens; it indicates an inconsistent or unstable discrete problem.
     """
+
+    status = "curvature_loss"
 
     def __init__(self, iteration, curvature):
         self.iteration = iteration

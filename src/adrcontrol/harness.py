@@ -29,7 +29,7 @@ from .discretization import (
     control_indices,
     grid_nodes,
 )
-from .errors import ConfigurationError, SolverBlowUpError
+from .errors import ConfigurationError, CurvatureLossError, SolverBlowUpError
 from .objective import CostBreakdown, inner_product
 from .optimizer import CGConfig, CGReport, cg_solve
 from .solvers import ControlField, StateField, solve_state
@@ -49,7 +49,7 @@ __all__ = [
     "write_summary_txt",
 ]
 
-STATUS_BLOWUP = "blow_up"
+STATUS_BLOWUP = SolverBlowUpError.status
 
 
 def _fmt(x):
@@ -112,7 +112,7 @@ class ExperimentSpec:
 
     ``problem`` fixes the physics and the (N, H) grid; its own M is not used
     directly, each run rebuilds the grid with one entry of control_counts.
-    Each count M yields M+1 control signals.
+    Each count M yields M+1 control signals; no count may appear twice.
     """
 
     problem: DiscreteProblem
@@ -129,12 +129,14 @@ class ExperimentSpec:
         g = self.problem.grid
         for m in counts:
             DiscreteProblem.create(self.problem.phys, g.N, g.H, m)  # rejects a bad count
+        if len(set(counts)) != len(counts):
+            raise ConfigurationError(f"control_counts repeat a count: {counts}")
         object.__setattr__(self, "control_counts", counts)
 
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Result row of one run; metric fields stay None after a blow-up."""
+    """Result row of one run; metric fields stay None after a solver failure."""
 
     M: int
     status: str
@@ -243,9 +245,10 @@ def run_experiment(spec):
     """Run the optimizer once per control count and write all output files.
 
     Returns one ExperimentSummary per control count, in the order requested.
-    A solver blow-up is recorded in that run's row (status "blow_up") and
-    does not abort the remaining runs.  Stability policy: ratios above
-    WARN_RATIO raise a warning, ratios above REFUSE_RATIO are refused outright.
+    A solver failure is recorded in its run's row, status "blow_up" or
+    "curvature_loss" (the exception's ``status``), and does not abort the
+    remaining runs.  Stability policy: ratios above WARN_RATIO raise a
+    warning, ratios above REFUSE_RATIO are refused outright.
     """
     phys = spec.problem.phys
     base_grid = spec.problem.grid
@@ -280,13 +283,13 @@ def run_experiment(spec):
         run_dir = spec.output_dir / f"{spec.ic.kind}_{m}"
         run_dir.mkdir(parents=True, exist_ok=True)
 
-        # A blow-up row differs from a solved one only in its metrics.
+        # A failed row differs from a solved one only in its metrics.
         metrics = dict(status=STATUS_BLOWUP, iterations=0, error=uncontrolled_error)
         if uncontrolled_error is None:
             try:
                 control, report = cg_solve(problem, y0, spec.cg)
-            except SolverBlowUpError as exc:
-                metrics["error"] = str(exc)
+            except (SolverBlowUpError, CurvatureLossError) as exc:
+                metrics.update(status=exc.status, error=str(exc))
             else:
                 metrics = dict(
                     status=report.status,

@@ -53,10 +53,10 @@ kernel splits the levels into blocks of GUARD_BLOCK and makes two passes:
    carry, then written to the trajectory; a short last block leaves the
    carry when its levels run out, so nothing past the end is marched.
 
-Overflow warnings are silenced.  When a level fails the guard, the sweep is
-marched again as one block spanning every level, which is the plain
-per-step march, so the reported step is a per-step guard's; a sweep of at
-most GUARD_BLOCK levels is one block already.
+Overflow warnings are silenced, and ``_march`` alone decides the blow-up
+step: when a level of a march of several blocks fails the guard, it marches
+again as one block spanning every level, the plain per-step march, so the
+step it reports is a per-step guard's.
 """
 
 from __future__ import annotations
@@ -165,9 +165,11 @@ def _step(x, stencil, gains):
     One ``np.correlate`` over the flattened rows gives every interior node;
     the two boundary columns, which it mixes with the neighbouring rows, are
     recomputed with the ghosts gains[0]*x[:, 0] and gains[1]*x[:, -1].
+    One row of two nodes (H = 1) gets one value too many from the
+    correlation; both its columns are boundary columns, so it is cut off.
     """
     lo, mid, hi = stencil
-    y = np.correlate(x.ravel(), stencil, "same").reshape(x.shape)
+    y = np.correlate(x.ravel(), stencil, "same")[: x.size].reshape(x.shape)
     y[:, 0] = lo * (gains[0] * x[:, 0]) + mid * x[:, 0] + hi * x[:, 1]
     y[:, -1] = lo * x[:, -2] + mid * x[:, -1] + hi * (gains[1] * x[:, -1])
     return y
@@ -181,6 +183,7 @@ def _power(stencil, gains, width, block):
     return power
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _march(levels, stencil, gains, force, block):
     """Fill ``levels[1:]`` by ``levels[i+1] = A levels[i] + forcing``, in blocks.
 
@@ -190,8 +193,9 @@ def _march(levels, stencil, gains, force, block):
     row of ``rows`` the forcing of its step, ``steps`` being the slice of
     their marching indices; ``block`` is the number of levels per block.
 
-    Stops at the first level that fails the guard and returns i + 1, i being
-    its step within its block: with one block, its marching index.  Returns
+    Returns the marching index of the first level beyond BLOWUP_LIMIT (or
+    not a number), as a per-step march reports it: a march of several
+    blocks that fails the guard is marched again as one block.  Returns
     None when every level passes.
     """
     steps, width = len(levels) - 1, levels.shape[1]
@@ -219,23 +223,9 @@ def _march(levels, stencil, gains, force, block):
         x = _step(x[: len(rows)], stencil, gains)
         force(x, slice(i, i + len(x) * block, block))
         if not (-BLOWUP_LIMIT <= x.min() and x.max() <= BLOWUP_LIMIT):
-            return i + 1
+            return i + 1 if blocks == 1 else _march(levels, stencil, gains, force, steps)
         rows[...] = x
     return None
-
-
-def _sweep(levels, force, stencil, gains):
-    """March ``levels`` with the forcing ``force``, guarding every level.
-
-    Returns the marching index of the first level beyond BLOWUP_LIMIT (or
-    not a number), as a per-step march reports it, or None.
-    """
-    steps = len(levels) - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = _march(levels, stencil, gains, force, GUARD_BLOCK)
-        if bad is not None and steps > GUARD_BLOCK:
-            bad = _march(levels, stencil, gains, force, steps)
-    return bad
 
 
 def solve_state(problem, y0, control):
@@ -285,7 +275,7 @@ def solve_state(problem, y0, control):
     # Time-major work array: work[n, j] is node j at time level n.
     work = np.empty((N + 2, H + 1))
     work[0] = y0
-    bad = _sweep(work, force, stencil, gains=(1.0, 1.0))
+    bad = _march(work, stencil, (1.0, 1.0), force, GUARD_BLOCK)
     if bad is not None:
         raise SolverBlowUpError(step=bad)
     return StateField(work.T)
@@ -325,7 +315,7 @@ def solve_adjoint(problem, state):
 
     work = np.empty((N + 1, H + 1))
     work[N] = p.k2 * y[:, N + 1]
-    bad = _sweep(work[::-1], force, _stencil(problem, 1.0), gains=(left_gain, right_gain))
+    bad = _march(work[::-1], _stencil(problem, 1.0), (left_gain, right_gain), force, GUARD_BLOCK)
     if bad is not None:
         raise SolverBlowUpError(step=N - bad)
     return AdjointField(work.T)

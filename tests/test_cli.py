@@ -113,6 +113,34 @@ class TestRun:
         assert err.count("\n") == 1
         assert "nonpositive curvature" in err
 
+    def test_curvature_loss_of_every_count_is_a_row_each(self, tmp_path, capsys):
+        # The same problem as above with two counts: a failed count does not
+        # stop the next one, and each gets its summary and its stderr line.
+        with pytest.warns(UserWarning):
+            rc = main([
+                "run", "--ic", "sine", "--frequency", "1", "--mu", "0.01", "--eps", "1.5",
+                "--k0", "1e-10", "--H", "20", "--N", "25", "--M", "4", "--M", "2",
+                "--out", str(tmp_path),
+            ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()
+        assert [row.split()[:2] for row in rows] == [
+            ["M=4", "status=curvature_loss"],
+            ["M=2", "status=curvature_loss"],
+        ]
+        err = captured.err.splitlines()
+        assert len(err) == 2
+        for m, line in zip((4, 2), err):
+            assert line.startswith(f"error: solver failure: M={m}: nonpositive curvature")
+            summary = (tmp_path / f"sine_{m}" / "summary.txt").read_text()
+            assert "status=curvature_loss" in summary
+
+    def test_repeated_control_count(self, tmp_path, capsys):
+        assert main(run_args(tmp_path / "out", "--M", "2")) == 1
+        assert "repeat" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_output_io_failure(self, tmp_path):
         blocker = tmp_path / "occupied"
         blocker.write_text("file, not a directory\n")

@@ -5,12 +5,14 @@ import pytest
 
 from adrcontrol import (
     ConfigurationError,
+    ControlField,
     DiscreteProblem,
     GridConfig,
     PhysicalConfig,
     cfl_ratio,
     control_indices,
     grid_nodes,
+    solve_state,
     stable_step_count,
 )
 
@@ -132,6 +134,11 @@ class TestCflRatio:
         assert cfl_ratio(finer_time) < cfl_ratio(base)
         assert cfl_ratio(more_diffusion) > cfl_ratio(base)
 
+    def test_sign_of_advection_does_not_matter(self):
+        # The state stencil drains its diagonal for eps < 0 as the adjoint's
+        # does for eps > 0, so both signs bound the scheme alike.
+        assert cfl_ratio(make_problem(eps=-0.3)) == cfl_ratio(make_problem(eps=0.3))
+
 
 class TestGridNodes:
     def test_endpoints_and_spacing(self):
@@ -155,6 +162,16 @@ class TestStableStepCount:
     def test_rejects_invalid_cell_count(self, H):
         with pytest.raises(ConfigurationError):
             stable_step_count(PhysicalConfig(), H)
+
+    def test_negative_advection_gets_a_bounded_baseline(self):
+        # With a signed eps this grid had N = 2000, a state stencil with
+        # mid = -0.4995, and a baseline from sin(pi x) blowing up at step 516.
+        phys = PhysicalConfig(eps=-10.0)
+        n = stable_step_count(phys, 100)
+        assert n == 6000
+        p = DiscreteProblem.create(phys, N=n, H=100, M=2)
+        y = solve_state(p, np.sin(np.pi * grid_nodes(p.grid)), ControlField.zeros(p.grid))
+        assert np.all(np.isfinite(y.values))
 
     def test_is_smallest(self):
         phys = PhysicalConfig(mu=0.07, eps=0.3)

@@ -11,6 +11,7 @@ from adrcontrol import (
     ExperimentSpec,
     InitialCondition,
     PhysicalConfig,
+    CurvatureLossError,
     SolverBlowUpError,
     cg_solve,
     compare_controls,
@@ -184,6 +185,11 @@ class TestExperimentSpec:
                 output_dir=tmp_path,
             )
 
+    def test_rejects_repeated_counts(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="repeat"):
+            small_spec(tmp_path / "out", counts=(2, 5, 2))
+        assert not (tmp_path / "out").exists()
+
 
 class TestRunExperiment:
     def test_rows_files_and_roundtrip(self, tmp_path):
@@ -295,25 +301,40 @@ class TestRunExperiment:
             assert summary["status"] == STATUS_BLOWUP
             assert summary["J_total"] == "nan"
 
-    def test_blow_up_of_one_count_after_a_sound_baseline(self, tmp_path, monkeypatch):
-        def cg_solve_blowing_up_for_m5(problem, y0, config):
+    @pytest.mark.parametrize(
+        "failure, status, text",
+        [
+            (SolverBlowUpError(step=7), STATUS_BLOWUP, "time step 7"),
+            (
+                CurvatureLossError(iteration=0, curvature=-1.0),
+                "curvature_loss",
+                "nonpositive curvature -1.000000e+00 in CG iteration 0",
+            ),
+        ],
+        ids=["blow_up", "curvature_loss"],
+    )
+    def test_blow_up_of_one_count_after_a_sound_baseline(
+        self, tmp_path, monkeypatch, failure, status, text
+    ):
+        def cg_solve_failing_for_m5(problem, y0, config):
             if problem.grid.M == 5:
-                raise SolverBlowUpError(step=7)
+                raise failure
             return cg_solve(problem, y0, config)
 
-        monkeypatch.setattr(harness, "cg_solve", cg_solve_blowing_up_for_m5)
+        monkeypatch.setattr(harness, "cg_solve", cg_solve_failing_for_m5)
         spec = small_spec(tmp_path / "out", counts=(2, 5))
         converged, blown = run_experiment(spec)
 
         assert converged.status == "converged"
         assert converged.uncontrolled_terminal_norm is not None
-        assert blown.status == STATUS_BLOWUP
+        assert blown.status == status
         assert blown.iterations == 0
-        assert "time step 7" in blown.error
+        assert text in blown.error
         assert blown.cost is None and blown.terminal_norm is None and blown.report is None
         assert blown.uncontrolled_terminal_norm == converged.uncontrolled_terminal_norm
         keys, summary = read_summary(blown.run_dir / "summary.txt")
         assert keys == list(_SUMMARY_KEYS)
+        assert summary["status"] == status
         assert summary["J_total"] == "nan"
         assert summary["uncontrolled_terminal_norm"] == _fmt(converged.uncontrolled_terminal_norm)
         assert not (blown.run_dir / "state.csv").exists()

@@ -329,6 +329,12 @@ class TestKernelAgainstLoopReference:
         p = make_problem(mu=0.1, eps=eps, N=1500, H=20, M=4, k1=0.7, k2=1.3)
         self.check_against_loops(p, seed=21)
 
+    @pytest.mark.parametrize("N", [20, 3 * GUARD_BLOCK + 5])
+    def test_a_single_cell_matches_plain_loops(self, N):
+        # H = 1: a batched step of one row has fewer values than the stencil.
+        p = make_problem(T=N / 100, mu=0.1, eps=0.05, N=N, H=1, M=1, k1=0.7, k2=1.3)
+        self.check_against_loops(p, seed=N)
+
     @pytest.mark.parametrize("levels", [GUARD_BLOCK - 1, GUARD_BLOCK, GUARD_BLOCK + 1, 3 * GUARD_BLOCK + 5])
     @pytest.mark.parametrize("eps", [0.3, -0.2])
     def test_block_boundaries_match_plain_loops(self, eps, levels):

@@ -29,6 +29,7 @@ from .errors import ConfigurationError
 from .harness import (
     ExperimentSpec,
     InitialCondition,
+    _fmt,
     compare_controls,
     run_experiment,
 )
@@ -174,28 +175,29 @@ def _cmd_run(args, out):
 
 def _cmd_demo(args, out):
     params = ReactionParams(C=args.C, lam=args.lam, dphi=args.dphi, dt=args.dt, steps=args.steps)
-    print(f"steady_state={_g(steady_state(params.C, params.lam))}", file=out)
+    print(f"steady_state={_fmt(steady_state(params.C, params.lam))}", file=out)
     for entry in euler_iterate(params):
         if entry.phi is not None:
-            print(f"n={entry.n} phi={_g(entry.phi)}", file=out)
+            print(f"n={entry.n} phi={_fmt(entry.phi)}", file=out)
         else:
-            print(f"n={entry.n} overflow log10_magnitude={_g(entry.log10_magnitude)}", file=out)
+            print(f"n={entry.n} overflow log10_magnitude={_fmt(entry.log10_magnitude)}", file=out)
     return EXIT_OK
 
 
-def _g(x):
-    return format(x, ".17g")
-
-
 def _cmd_check(args, out):
+    """Report each count's grid and stability ratio; 1 if run would refuse it.
+
+    The counts pass DiscreteProblem.for_counts first, the rule ExperimentSpec
+    applies in run, so a bad or repeated count stops check before any line.
+    """
     phys, counts, n_steps = _build_setup(args)
     status = EXIT_OK
-    for m in counts:
-        problem = DiscreteProblem.create(phys, n_steps, args.H, m)
+    for problem in DiscreteProblem.for_counts(phys, n_steps, args.H, counts):
+        m = problem.grid.M
         ratio = cfl_ratio(problem)
         idx = control_indices(problem.grid)
         print(
-            f"M={m}: h={_g(problem.grid.h)} dt={_g(problem.grid.dt)} "
+            f"M={m}: h={_fmt(problem.grid.h)} dt={_fmt(problem.grid.dt)} "
             f"cfl_ratio={ratio:.6g} control_nodes={idx}",
             file=out,
         )

@@ -128,6 +128,20 @@ class DiscreteProblem:
     def create(cls, phys, N, H, M):
         return cls(phys=phys, grid=GridConfig.from_extents(phys.L, phys.T, N, H, M))
 
+    @classmethod
+    def for_counts(cls, phys, N, H, counts):
+        """One problem per control count on the same (N, H) grid, in order.
+
+        ConfigurationError: no counts, a count the grid refuses, or a repeat.
+        """
+        counts = tuple(counts)
+        if not counts:
+            raise ConfigurationError("control_counts must not be empty")
+        problems = tuple(cls.create(phys, N, H, m) for m in counts)
+        if len(set(counts)) != len(counts):
+            raise ConfigurationError(f"control_counts repeat a count: {counts}")
+        return problems
+
 
 def control_indices(grid):
     """Spatial node indices carrying controls: j_k = k*H/M for k = 0..M.

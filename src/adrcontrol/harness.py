@@ -110,9 +110,11 @@ def make_initial_condition(ic, grid):
 class ExperimentSpec:
     """One initial condition solved once per control count.
 
-    ``problem`` fixes the physics and the (N, H) grid; its own M is not used
-    directly, each run rebuilds the grid with one entry of control_counts.
-    Each count M yields M+1 control signals; no count may appear twice.
+    ``problem`` fixes the physics and the (N, H) grid; its own M is not used,
+    each run solves the problem DiscreteProblem.for_counts builds for one
+    entry of control_counts.  That function's rules (no empty list, no count
+    the grid refuses, no repeat) are checked here.  Each count M yields M+1
+    control signals.
     """
 
     problem: DiscreteProblem
@@ -123,15 +125,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "output_dir", Path(self.output_dir))
-        counts = tuple(self.control_counts)
-        if not counts:
-            raise ConfigurationError("control_counts must not be empty")
         g = self.problem.grid
-        for m in counts:
-            DiscreteProblem.create(self.problem.phys, g.N, g.H, m)  # rejects a bad count
-        if len(set(counts)) != len(counts):
-            raise ConfigurationError(f"control_counts repeat a count: {counts}")
-        object.__setattr__(self, "control_counts", counts)
+        problems = DiscreteProblem.for_counts(self.problem.phys, g.N, g.H, self.control_counts)
+        object.__setattr__(self, "control_counts", tuple(q.grid.M for q in problems))
 
 
 @dataclass(frozen=True)
@@ -278,8 +274,8 @@ def run_experiment(spec):
         uncontrolled_error = f"uncontrolled baseline blew up: {exc}"
 
     rows = []
-    for m in spec.control_counts:
-        problem = DiscreteProblem.create(phys, base_grid.N, base_grid.H, m)
+    for problem in DiscreteProblem.for_counts(phys, base_grid.N, base_grid.H, spec.control_counts):
+        m = problem.grid.M
         run_dir = spec.output_dir / f"{spec.ic.kind}_{m}"
         run_dir.mkdir(parents=True, exist_ok=True)
 

@@ -43,12 +43,8 @@ class CostBreakdown:
 def cost(problem, control, state):
     """Evaluate the cost terms for a control and the state it produced."""
     g, p = problem.grid, problem.phys
-    v = control.values
-    y = state.values
-    if v.shape != (g.M + 1, g.N + 1):
-        raise ValueError(f"control field shape {v.shape} does not match grid")
-    if y.shape != (g.H + 1, g.N + 2):
-        raise ValueError(f"state field shape {y.shape} does not match grid")
+    v = control.checked((g.M + 1, g.N + 1))
+    y = state.checked((g.H + 1, g.N + 2))
 
     control_term = 0.5 * p.k0 * g.dt * float(np.einsum("ij,ij->", v, v))
     running = y[:, : g.N + 1]
@@ -64,13 +60,8 @@ def cost(problem, control, state):
 
 def inner_product(grid, a, b):
     """Control-space inner product dt * sum_{k,n} a[k,n]*b[k,n]."""
-    va, vb = a.values, b.values
-    expected = (grid.M + 1, grid.N + 1)
-    if va.shape != expected or vb.shape != expected:
-        raise ValueError(
-            f"control shapes {va.shape} and {vb.shape} must both match grid {expected}"
-        )
-    return grid.dt * float(np.sum(va * vb))
+    shape = (grid.M + 1, grid.N + 1)
+    return grid.dt * float(np.sum(a.checked(shape) * b.checked(shape)))
 
 
 def gradient(problem, control, adjoint):
@@ -80,10 +71,6 @@ def gradient(problem, control, adjoint):
     result to be the gradient at v; the formula itself is affine in (v, p).
     """
     g, p = problem.grid, problem.phys
-    v = control.values
-    pv = adjoint.values
-    if v.shape != (g.M + 1, g.N + 1):
-        raise ValueError(f"control field shape {v.shape} does not match grid")
-    if pv.shape != (g.H + 1, g.N + 1):
-        raise ValueError(f"adjoint field shape {pv.shape} does not match grid")
+    v = control.checked((g.M + 1, g.N + 1))
+    pv = adjoint.checked((g.H + 1, g.N + 1))
     return ControlField(p.k0 * v + pv[control_indices(g), :])

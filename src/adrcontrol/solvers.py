@@ -89,35 +89,44 @@ GUARD_BLOCK = 64
 
 
 @dataclass(frozen=True)
-class ControlField:
-    """Control samples values[k, n] for signals k = 0..M at times n = 0..N."""
+class _Field:
+    """Base of the fields: a frozen float array ``values`` of 2-D shape >= (2, min_columns)."""
 
     values: np.ndarray
+    min_columns = 1
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 1:
-            raise ValueError(f"control array must be (M+1, N+1), got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("control values must be finite")
+        if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < self.min_columns:
+            raise ValueError(
+                f"{type(self).__name__} shape {v.shape} is not 2-D >= (2, {self.min_columns})"
+            )
         object.__setattr__(self, "values", v)
+
+    def checked(self, shape):
+        """``values``, after the one check of their shape against the grid's ``shape``."""
+        if self.values.shape != shape:
+            raise ValueError(f"{type(self).__name__} {self.values.shape} is not the grid's {shape}")
+        return self.values
+
+
+class ControlField(_Field):
+    """Control samples values[k, n] for signals k = 0..M at times n = 0..N, all finite."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("control values must be finite")
 
     @classmethod
     def zeros(cls, grid):
         return cls(np.zeros((grid.M + 1, grid.N + 1)))
 
 
-@dataclass(frozen=True)
-class StateField:
+class StateField(_Field):
     """State trajectory values[j, n] at nodes j = 0..H, times n = 0..N+1."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
-            raise ValueError(f"state array must be (H+1, N+2), got shape {v.shape}")
-        object.__setattr__(self, "values", v)
+    min_columns = 2
 
     @property
     def interior(self):
@@ -130,17 +139,8 @@ class StateField:
         return self.values[:, -1]
 
 
-@dataclass(frozen=True)
-class AdjointField:
+class AdjointField(_Field):
     """Adjoint trajectory values[j, n] at nodes j = 0..H, times n = 0..N."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 1:
-            raise ValueError(f"adjoint array must be (H+1, N+1), got shape {v.shape}")
-        object.__setattr__(self, "values", v)
 
 
 def _stencil(problem, advection_sign):
@@ -259,9 +259,7 @@ def solve_state(problem, y0, control):
         raise ValueError(f"initial state must have shape ({H + 1},), got {y0.shape}")
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
-    v = control.values
-    if v.shape != (M + 1, N + 1):
-        raise ValueError(f"control field shape {v.shape} does not match grid {(M + 1, N + 1)}")
+    v = control.checked((M + 1, N + 1))
     lo, _, hi = stencil = _stencil(problem, -1.0)
     # Control k enters at node nodes[k], scaled by weights[k]: the flux
     # closures' share of the stencil at the ends, dt/h at interior nodes.
@@ -301,9 +299,7 @@ def solve_adjoint(problem, state):
     H, N, h, dt = g.H, g.N, g.h, g.dt
     mu, eps = p.mu, p.eps
 
-    y = state.values
-    if y.shape != (H + 1, N + 2):
-        raise ValueError(f"state shape {y.shape} does not match grid ({H + 1}, {N + 2})")
+    y = state.checked((H + 1, N + 2))
     left_gain = mu / (mu - eps * h)
     right_gain = (mu - eps * h) / mu
 

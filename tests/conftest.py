@@ -14,6 +14,12 @@ import numpy as np
 from adrcontrol import ControlField, DiscreteProblem, PhysicalConfig, stable_step_count
 
 
+def make_problem(L=1.0, T=1.0, mu=0.1, eps=0.1, N=100, H=10, M=2, **weights):
+    """A small problem; every argument but the weights has a test default."""
+    phys = PhysicalConfig(L=L, T=T, mu=mu, eps=eps, **weights)
+    return DiscreteProblem.create(phys, N=N, H=H, M=M)
+
+
 def default_problem(H=100, M=4):
     """The default physics on its stable grid."""
     phys = PhysicalConfig()

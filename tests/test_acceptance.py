@@ -39,7 +39,7 @@ from adrcontrol import (
 )
 from adrcontrol.objective import cost
 
-from conftest import smooth_probe_set, smooth_profile
+from conftest import make_problem, smooth_probe_set, smooth_profile
 
 
 def verdict(capsys, name, ok, detail=""):
@@ -49,11 +49,6 @@ def verdict(capsys, name, ok, detail=""):
     with capsys.disabled():
         print(line, flush=True)
     return ok
-
-
-def make_problem(L=1.0, T=1.0, mu=0.1, eps=0.1, N=100, H=10, M=2, **weights):
-    phys = PhysicalConfig(L=L, T=T, mu=mu, eps=eps, **weights)
-    return DiscreteProblem.create(phys, N=N, H=H, M=M)
 
 
 # reference table entries as (index, printed value, unit of last printed digit)

@@ -29,6 +29,21 @@ class TestCheck:
     def test_indivisible_control_count(self):
         assert main(["check", "--H", "10", "--M", "3"]) == 1
 
+    @pytest.mark.parametrize(
+        "cells, counts",
+        [("10", ("2", "2")), ("6", ("2", "4"))],
+        ids=["repeated", "indivisible-after-valid"],
+    )
+    def test_refused_counts_print_no_grid_line(self, capsys, cells, counts):
+        # check refuses the counts run refuses, before reporting any of them
+        argv = ["check", "--H", cells]
+        for m in counts:
+            argv += ["--M", m]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "M=" not in captured.out
+        assert captured.err.startswith("error: invalid configuration")
+
     def test_severely_unstable_grid(self, capsys):
         assert main(["check", "--H", "100", "--N", "100"]) == 1
         assert "refused" in capsys.readouterr().out

@@ -4,8 +4,6 @@ import pytest
 from adrcontrol import (
     AdjointField,
     ControlField,
-    DiscreteProblem,
-    PhysicalConfig,
     control_indices,
     cost,
     gradient,
@@ -14,12 +12,7 @@ from adrcontrol import (
     solve_state,
 )
 
-from conftest import default_problem, smooth_probe_set, traced_peak
-
-
-def make_problem(L=1.0, T=1.0, mu=0.1, eps=0.1, N=100, H=10, M=2, **weights):
-    phys = PhysicalConfig(L=L, T=T, mu=mu, eps=eps, **weights)
-    return DiscreteProblem.create(phys, N=N, H=H, M=M)
+from conftest import default_problem, make_problem, smooth_probe_set, traced_peak
 
 
 def brute_force_cost(problem, v, y):
@@ -109,6 +102,8 @@ class TestCost:
         y = solve_state(q, np.zeros(11), ControlField.zeros(q.grid))
         with pytest.raises(ValueError):
             cost(p, ControlField.zeros(p.grid), y)
+        with pytest.raises(ValueError):
+            cost(q, ControlField.zeros(p.grid), y)
 
 
 class TestInnerProduct:
@@ -138,6 +133,8 @@ class TestInnerProduct:
         p = make_problem(N=10)
         with pytest.raises(ValueError):
             inner_product(p.grid, ControlField.zeros(p.grid), ControlField(np.zeros((3, 5))))
+        with pytest.raises(ValueError):
+            inner_product(p.grid, ControlField(np.zeros((3, 5))), ControlField.zeros(p.grid))
 
 
 class TestGradient:
@@ -182,6 +179,8 @@ class TestGradient:
         p = make_problem(N=6)
         with pytest.raises(ValueError):
             gradient(p, ControlField.zeros(p.grid), AdjointField(np.zeros((11, 5))))
+        with pytest.raises(ValueError):
+            gradient(p, ControlField(np.zeros((3, 6))), AdjointField(np.zeros((11, 7))))
 
 
 class TestGradientAgainstFiniteDifferences:

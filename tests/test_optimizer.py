@@ -24,12 +24,7 @@ from adrcontrol.optimizer import (
     resolve_max_iter,
 )
 
-from conftest import smooth_profile
-
-
-def make_problem(L=1.0, T=1.0, mu=0.1, eps=0.1, N=100, H=10, M=2, **weights):
-    phys = PhysicalConfig(L=L, T=T, mu=mu, eps=eps, **weights)
-    return DiscreteProblem.create(phys, N=N, H=H, M=M)
+from conftest import make_problem, smooth_profile
 
 
 def tiny_symmetric_problem():

@@ -15,14 +15,9 @@ from adrcontrol import (
     solve_state,
 )
 from adrcontrol import solvers
-from adrcontrol.solvers import BLOWUP_LIMIT, GUARD_BLOCK, StateField
+from adrcontrol.solvers import BLOWUP_LIMIT, GUARD_BLOCK, AdjointField, StateField
 
-from conftest import default_problem, smooth_probe_set, traced_peak
-
-
-def make_problem(L=1.0, T=1.0, mu=0.1, eps=0.1, N=100, H=10, M=2, **weights):
-    phys = PhysicalConfig(L=L, T=T, mu=mu, eps=eps, **weights)
-    return DiscreteProblem.create(phys, N=N, H=H, M=M)
+from conftest import default_problem, make_problem, smooth_probe_set, traced_peak
 
 
 def random_controls(grid, rng, scale=1.0):
@@ -103,6 +98,25 @@ def blow_up_step(solve, *args):
     return info.value.step
 
 
+class TestFields:
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            *[
+                (cls, values)
+                for cls in (ControlField, StateField, AdjointField)
+                for values in (np.zeros(4), np.zeros((1, 4)), np.zeros((3, 0)))
+            ],
+            (StateField, np.zeros((3, 1))),
+            (ControlField, np.array([[0.0, np.nan], [0.0, 0.0]])),
+            (ControlField, np.array([[0.0, 0.0], [np.inf, 0.0]])),
+        ],
+    )
+    def test_rejects_invalid_arrays(self, field, values):
+        with pytest.raises(ValueError):
+            field(values)
+
+
 class TestSolveState:
     def test_zero_data_gives_zero_trajectory(self):
         p = make_problem(N=20)
@@ -117,7 +131,7 @@ class TestSolveState:
         y = solve_state(p, np.full(6, c), ControlField.zeros(p.grid))
         expected = c
         for n in range(p.grid.N + 2):
-            assert y.interior[:, n] == pytest.approx(np.full(6, expected), rel=1e-13)
+            assert y.values[:, n] == pytest.approx(np.full(6, expected), rel=1e-13)
             expected *= 1.0 + p.grid.dt
 
     def test_single_step_by_hand(self):
@@ -126,7 +140,7 @@ class TestSolveState:
         # 2*dt*mu/h^2 but grows by dt through the reaction: 1 - 0.08 + 0.1
         p = make_problem(T=0.1, mu=0.1, eps=0.0, N=1, H=2, M=2)
         y = solve_state(p, np.array([0.0, 1.0, 0.0]), ControlField.zeros(p.grid))
-        assert y.interior[:, 1] == pytest.approx([0.04, 1.02, 0.04], abs=1e-15)
+        assert y.values[:, 1] == pytest.approx([0.04, 1.02, 0.04], abs=1e-15)
 
     def test_boundary_nodes_follow_flux_closure_at_every_step(self):
         # The Neumann closure y[-1] = y[0] + (h/mu)*v[0], y[H+1] = y[H] + (h/mu)*v[M]
@@ -152,7 +166,7 @@ class TestSolveState:
         g = p.grid
         expected = np.zeros(11)
         expected[control_indices(g)[1]] = g.dt * 2.0 / g.h
-        assert np.array_equal(y.interior[:, 1], expected)
+        assert np.array_equal(y.values[:, 1], expected)
 
     def test_linearity_in_data_and_controls(self):
         p = make_problem(N=60, H=12, M=3)
@@ -442,7 +456,7 @@ class TestDuality:
         y = solve_state(p, y0, v)
         dy = solve_perturbation(p, dv)
         q = solve_adjoint(p, y)
-        running = g.dt * g.h * float(np.sum(y.interior[:, : g.N + 1] * dy.interior[:, : g.N + 1]))
+        running = g.dt * g.h * float(np.sum(y.values[:, : g.N + 1] * dy.values[:, : g.N + 1]))
         terminal = g.h * float(np.sum(y.terminal * dy.terminal))
         traces = gradient(p, ControlField.zeros(g), q)
         paired = inner_product(g, traces, dv)

@@ -17,11 +17,9 @@ import sys
 from pathlib import Path
 
 from .discretization import (
-    REFUSE_RATIO,
-    WARN_RATIO,
     DiscreteProblem,
     PhysicalConfig,
-    cfl_ratio,
+    check_stability,
     control_indices,
     stable_step_count,
 )
@@ -185,28 +183,23 @@ def _cmd_demo(args, out):
 
 
 def _cmd_check(args, out):
-    """Report each count's grid and stability ratio; 1 if run would refuse it.
+    """Report each count's grid and stability ratio, or refuse as run would.
 
-    The counts pass DiscreteProblem.for_counts first, the rule ExperimentSpec
-    applies in run, so a bad or repeated count stops check before any line.
+    The counts pass DiscreteProblem.for_counts and the grid passes
+    check_stability, the rules run applies, so a bad or repeated count and
+    a refused grid stop check before any line; a warned grid gives run's
+    UserWarning.  The ratio does not depend on the count.
     """
     phys, counts, n_steps = _build_setup(args)
-    status = EXIT_OK
-    for problem in DiscreteProblem.for_counts(phys, n_steps, args.H, counts):
-        m = problem.grid.M
-        ratio = cfl_ratio(problem)
-        idx = control_indices(problem.grid)
+    problems = DiscreteProblem.for_counts(phys, n_steps, args.H, counts)
+    ratio = check_stability(problems[0])
+    for problem in problems:
         print(
-            f"M={m}: h={_fmt(problem.grid.h)} dt={_fmt(problem.grid.dt)} "
-            f"cfl_ratio={ratio:.6g} control_nodes={idx}",
+            f"M={problem.grid.M}: h={_fmt(problem.grid.h)} dt={_fmt(problem.grid.dt)} "
+            f"cfl_ratio={ratio:.6g} control_nodes={control_indices(problem.grid)}",
             file=out,
         )
-        if ratio > REFUSE_RATIO:
-            print(f"M={m}: stability ratio exceeds {REFUSE_RATIO:g}; run would be refused", file=out)
-            status = EXIT_CONFIG
-        elif ratio > WARN_RATIO:
-            print(f"M={m}: warning, stability ratio exceeds {WARN_RATIO:g}", file=out)
-    return status
+    return EXIT_OK
 
 
 def main(argv=None):

@@ -10,6 +10,7 @@ forces H to be a multiple of M.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +23,12 @@ __all__ = [
     "DiscreteProblem",
     "control_indices",
     "cfl_ratio",
+    "check_stability",
     "grid_nodes",
     "stable_step_count",
 ]
 
-# Stability policy for cfl_ratio: runs warn above WARN_RATIO and are refused above REFUSE_RATIO.
+# check_stability's policy for cfl_ratio: warn above WARN_RATIO, refuse above REFUSE_RATIO.
 WARN_RATIO = 1.0
 REFUSE_RATIO = 2.0
 
@@ -163,9 +165,30 @@ def cfl_ratio(problem):
     """Stability ratio dt*(2*mu/h^2 + |eps|/h) of the explicit scheme.
 
     Values at or below WARN_RATIO are stable.  Above it the scheme
-    amplifies high frequencies; WARN_RATIO and REFUSE_RATIO are the policy.
+    amplifies high frequencies; check_stability applies the policy.
     """
     return problem.grid.dt * _rate(problem.phys, problem.grid.h)
+
+
+def check_stability(problem):
+    """Apply the stability policy to problem and return its cfl_ratio.
+
+    ConfigurationError above REFUSE_RATIO; a UserWarning above WARN_RATIO.
+    The ratio is printed with repr, so a ratio under a bound never reads
+    as the bound.
+    """
+    ratio = cfl_ratio(problem)
+    if ratio > REFUSE_RATIO:
+        raise ConfigurationError(
+            f"stability ratio {ratio!r} exceeds {REFUSE_RATIO:g}; "
+            "refusing to run the explicit scheme"
+        )
+    if ratio > WARN_RATIO:
+        warnings.warn(
+            f"stability ratio {ratio!r} exceeds {WARN_RATIO:g}; the explicit scheme may blow up",
+            stacklevel=2,
+        )
+    return ratio
 
 
 def grid_nodes(grid):

@@ -14,25 +14,18 @@ produce byte-identical files.
 from __future__ import annotations
 
 import math
-import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .discretization import (
-    REFUSE_RATIO,
-    WARN_RATIO,
-    DiscreteProblem,
-    cfl_ratio,
-    control_indices,
-    grid_nodes,
-)
+from .discretization import DiscreteProblem, check_stability, control_indices, grid_nodes
 from .errors import ConfigurationError, CurvatureLossError, SolverBlowUpError
 from .objective import CostBreakdown, inner_product
 from .optimizer import CGConfig, CGReport, cg_solve
-from .solvers import ControlField, StateField, solve_state
+from .solvers import ControlField, solve_state
 
 __all__ = [
     "InitialCondition",
@@ -48,8 +41,6 @@ __all__ = [
     "write_convergence_csv",
     "write_summary_txt",
 ]
-
-STATUS_BLOWUP = SolverBlowUpError.status
 
 
 def _fmt(x):
@@ -145,7 +136,6 @@ class ExperimentSummary:
     uncontrolled_terminal_norm: Optional[float] = None
     run_dir: Optional[Path] = None
     control: Optional[ControlField] = None
-    state: Optional[StateField] = None
     report: Optional[CGReport] = None
     error: Optional[str] = None
 
@@ -241,37 +231,25 @@ def run_experiment(spec):
     """Run the optimizer once per control count and write all output files.
 
     Returns one ExperimentSummary per control count, in the order requested.
-    A solver failure is recorded in its run's row, status "blow_up" or
-    "curvature_loss" (the exception's ``status``), and does not abort the
-    remaining runs.  Stability policy: ratios above WARN_RATIO raise a
-    warning, ratios above REFUSE_RATIO are refused outright.
+    check_stability applies the stability policy first, so a refused grid
+    raises ConfigurationError before any solve.  A solver failure is
+    recorded in its run's row, status "blow_up" or "curvature_loss" (the
+    exception's ``status``), and does not abort the remaining runs.
     """
     phys = spec.problem.phys
     base_grid = spec.problem.grid
-    ratio = cfl_ratio(spec.problem)
-    if ratio > REFUSE_RATIO:
-        raise ConfigurationError(
-            f"stability ratio {ratio:.4g} exceeds {REFUSE_RATIO:g}; "
-            "refusing to run the explicit scheme"
-        )
-    if ratio > WARN_RATIO:
-        warnings.warn(
-            f"stability ratio {ratio:.4g} exceeds {WARN_RATIO:g}; the explicit scheme may blow up",
-            stacklevel=2,
-        )
-
+    ratio = check_stability(spec.problem)
     y0 = make_initial_condition(spec.ic, base_grid)
     key = _base_key(phys, base_grid, spec.ic)
 
     # The uncontrolled baseline does not involve controls, so one solve
-    # serves every control count.
+    # serves every control count.  If it blows up, its norm stays None: each
+    # count's first CG sweep is the same zero-control march, and its row
+    # records the blow-up.
     uncontrolled_norm = None
-    uncontrolled_error = None
-    try:
+    with suppress(SolverBlowUpError):
         baseline = solve_state(spec.problem, y0, ControlField.zeros(base_grid))
         uncontrolled_norm = _terminal_norm(base_grid, baseline.terminal)
-    except SolverBlowUpError as exc:
-        uncontrolled_error = f"uncontrolled baseline blew up: {exc}"
 
     rows = []
     for problem in DiscreteProblem.for_counts(phys, base_grid.N, base_grid.H, spec.control_counts):
@@ -280,26 +258,23 @@ def run_experiment(spec):
         run_dir.mkdir(parents=True, exist_ok=True)
 
         # A failed row differs from a solved one only in its metrics.
-        metrics = dict(status=STATUS_BLOWUP, iterations=0, error=uncontrolled_error)
-        if uncontrolled_error is None:
-            try:
-                control, report = cg_solve(problem, y0, spec.cg)
-            except (SolverBlowUpError, CurvatureLossError) as exc:
-                metrics.update(status=exc.status, error=str(exc))
-            else:
-                metrics = dict(
-                    status=report.status,
-                    iterations=report.iterations,
-                    cost=report.cost_history[-1],
-                    control_energy=inner_product(problem.grid, control, control),
-                    terminal_norm=_terminal_norm(problem.grid, report.state.terminal),
-                    control=control,
-                    state=report.state,
-                    report=report,
-                )
-                write_state_csv(run_dir / "state.csv", problem, report.state)
-                write_controls_csv(run_dir / "controls.csv", problem, control)
-                write_convergence_csv(run_dir / "convergence.csv", report)
+        try:
+            control, report = cg_solve(problem, y0, spec.cg)
+        except (SolverBlowUpError, CurvatureLossError) as exc:
+            metrics = dict(status=exc.status, iterations=0, error=str(exc))
+        else:
+            metrics = dict(
+                status=report.status,
+                iterations=report.iterations,
+                cost=report.cost_history[-1],
+                control_energy=inner_product(problem.grid, control, control),
+                terminal_norm=_terminal_norm(problem.grid, report.state.terminal),
+                control=control,
+                report=report,
+            )
+            write_state_csv(run_dir / "state.csv", problem, report.state)
+            write_controls_csv(run_dir / "controls.csv", problem, control)
+            write_convergence_csv(run_dir / "convergence.csv", report)
         row = ExperimentSummary(
             M=m,
             cfl_ratio=ratio,

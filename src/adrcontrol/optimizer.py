@@ -61,9 +61,9 @@ class CGConfig:
     def __post_init__(self):
         if not (0.0 < self.tol < 1.0):
             raise ConfigurationError("tol must lie strictly between 0 and 1")
-        if self.max_iter is not None:
-            if not isinstance(self.max_iter, int) or self.max_iter < 1:
-                raise ConfigurationError("max_iter must be None or an integer >= 1")
+        m = self.max_iter
+        if m is not None and (not isinstance(m, int) or isinstance(m, bool) or m < 1):
+            raise ConfigurationError("max_iter must be None or an integer >= 1")
 
 
 @dataclass(frozen=True)

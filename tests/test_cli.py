@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from adrcontrol.cli import main
@@ -46,16 +48,46 @@ class TestCheck:
 
     def test_severely_unstable_grid(self, capsys):
         assert main(["check", "--H", "100", "--N", "100"]) == 1
-        assert "refused" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "M=" not in captured.out
+        assert "refusing to run the explicit scheme" in captured.err
 
     def test_marginally_unstable_grid_warns_but_passes(self, capsys):
         # H=50, mu=1, N=2503 sits just below the hard limit of 2
-        assert main(["check", "--mu", "1", "--H", "50", "--N", "2503", "--M", "2"]) == 0
-        assert "warning" in capsys.readouterr().out
+        with pytest.warns(UserWarning, match="stability ratio 1.99"):
+            assert main(["check", "--mu", "1", "--H", "50", "--N", "2503", "--M", "2"]) == 0
+        assert "M=2:" in capsys.readouterr().out
 
     def test_invalid_constants(self):
         assert main(["check", "--mu", "0"]) == 1
         assert main(["check", "--mu", "0.1", "--eps", "1", "--H", "10"]) == 1
+
+
+@pytest.mark.parametrize(
+    "grid, refused, warned",
+    [
+        ((), False, False),
+        (("--mu", "1", "--H", "50", "--N", "2503"), False, True),
+        (("--H", "100", "--N", "100"), True, False),
+    ],
+    ids=["default", "warned", "refused"],
+)
+def test_check_and_run_share_the_stability_policy(tmp_path, capsys, grid, refused, warned):
+    # check exits 1 exactly when run does, with the same stderr text, and
+    # warns exactly when run does, with the same message.
+    outcomes = []
+    for argv in (["check", *grid, "--M", "2"], ["run", *grid, "--M", "2", "--out", str(tmp_path)]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        err = capsys.readouterr().err
+        messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+        outcomes.append((rc == 1, err if rc == 1 else None, messages))
+    assert outcomes[0] == outcomes[1]
+    is_refused, err, messages = outcomes[0]
+    assert is_refused == refused
+    assert refused == (err is not None and "refusing to run the explicit scheme" in err)
+    assert len(messages) == int(warned)
 
 
 class TestRun:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from adrcontrol import (
     solve_state,
     stable_step_count,
 )
+from adrcontrol.discretization import check_stability
 
 from conftest import make_problem
 
@@ -135,6 +137,23 @@ class TestCflRatio:
         # The state stencil drains its diagonal for eps < 0 as the adjoint's
         # does for eps > 0, so both signs bound the scheme alike.
         assert cfl_ratio(make_problem(eps=-0.3)) == cfl_ratio(make_problem(eps=0.3))
+
+
+class TestCheckStability:
+    def test_ratio_just_below_the_refusal_bound_does_not_read_as_the_bound(self):
+        # mu=1, H=50, N=2503 gives 1.9996..., which 4 significant digits print as "2"
+        p = make_problem(mu=1.0, N=2503, H=50)
+        ratio = cfl_ratio(p)
+        assert 1.0 < ratio < 2.0
+        with pytest.warns(UserWarning) as record:
+            assert check_stability(p) == ratio
+        message = str(record[0].message)
+        assert message.startswith(f"stability ratio {ratio!r} exceeds 1;")
+
+    def test_refuses_above_the_bound(self):
+        p = make_problem(mu=0.1, eps=0.0, N=100, H=100)
+        with pytest.raises(ConfigurationError, match=re.escape(f"ratio {cfl_ratio(p)!r} exceeds 2;")):
+            check_stability(p)
 
 
 class TestGridNodes:

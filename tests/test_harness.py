@@ -21,7 +21,7 @@ from adrcontrol import (
     solve_state,
 )
 from adrcontrol import harness
-from adrcontrol.harness import _SUMMARY_KEYS, STATUS_BLOWUP, write_controls_csv, write_state_csv
+from adrcontrol.harness import _SUMMARY_KEYS, write_controls_csv, write_state_csv
 from adrcontrol.solvers import StateField
 
 
@@ -213,7 +213,7 @@ class TestRunExperiment:
             for n, t, j, x, y in data:
                 y_read[int(j), int(n)] = float(y)
                 assert float(t) == int(n) * g.dt
-            assert np.array_equal(y_read, row.state.values)
+            assert np.array_equal(y_read, row.report.state.values)
 
             header, data = read_table(run_dir / "controls.csv")
             assert header == ["n", "t", "k", "x_k", "v"]
@@ -262,10 +262,8 @@ class TestRunExperiment:
             return solve_state(*args)
 
         monkeypatch.setattr(harness, "solve_state", counting_solve_state)
-        rows = run_experiment(small_spec(tmp_path / "out", counts=(2, 5, 10)))
+        run_experiment(small_spec(tmp_path / "out", counts=(2, 5, 10)))
         assert len(calls) == 1
-        for row in rows:
-            assert row.state is row.report.state
 
     def test_reruns_are_byte_identical(self, tmp_path):
         rows_a = run_experiment(small_spec(tmp_path / "a"))
@@ -291,20 +289,28 @@ class TestRunExperiment:
         spec = small_spec(tmp_path / "out", ic=ic, counts=(2, 5), mu=1.0, N=2503, H=50)
         with pytest.warns(UserWarning):
             rows = run_experiment(spec)
+        # Each count's first CG sweep is the uncontrolled march, so each row
+        # names the step at which that march blows up.
+        grid = spec.problem.grid
+        with pytest.raises(SolverBlowUpError) as uncontrolled:
+            solve_state(spec.problem, make_initial_condition(ic, grid), ControlField.zeros(grid))
         assert [row.M for row in rows] == [2, 5]
         for row in rows:
-            assert row.status == STATUS_BLOWUP
+            assert row.status == SolverBlowUpError.status
             assert row.cost is None and row.terminal_norm is None
-            assert "time step" in row.error
+            assert row.uncontrolled_terminal_norm is None
+            assert row.error == str(uncontrolled.value)
+            assert row.error.endswith(f"time step {uncontrolled.value.step}")
             keys, summary = read_summary(row.run_dir / "summary.txt")
             assert keys == list(_SUMMARY_KEYS)
-            assert summary["status"] == STATUS_BLOWUP
+            assert summary["status"] == SolverBlowUpError.status
             assert summary["J_total"] == "nan"
+            assert summary["uncontrolled_terminal_norm"] == "nan"
 
     @pytest.mark.parametrize(
         "failure, status, text",
         [
-            (SolverBlowUpError(step=7), STATUS_BLOWUP, "time step 7"),
+            (SolverBlowUpError(step=7), SolverBlowUpError.status, "time step 7"),
             (
                 CurvatureLossError(iteration=0, curvature=-1.0),
                 "curvature_loss",

@@ -69,7 +69,7 @@ class TestCGConfig:
         with pytest.raises(ConfigurationError):
             CGConfig(tol=tol)
 
-    @pytest.mark.parametrize("max_iter", [0, -2, 1.5])
+    @pytest.mark.parametrize("max_iter", [0, -2, 1.5, True])
     def test_rejects_bad_iteration_cap(self, max_iter):
         with pytest.raises(ConfigurationError):
             CGConfig(max_iter=max_iter)

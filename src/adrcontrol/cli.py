@@ -7,13 +7,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid configuration (also a float overflow or underflow
 while deriving the grid), 2 a solver failure (blow-up or CG curvature loss) in some
-count's row, each named on stderr, 3 output I/O error.
+count's row, each named on stderr, 3 output I/O error.  A warning is one
+"warning: ..." line on stderr, like the "error: ..." lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .discretization import (
@@ -196,16 +198,22 @@ def _cmd_check(args, out):
     for problem in problems:
         print(
             f"M={problem.grid.M}: h={_fmt(problem.grid.h)} dt={_fmt(problem.grid.dt)} "
-            f"cfl_ratio={ratio:.6g} control_nodes={control_indices(problem.grid)}",
+            f"cfl_ratio={_fmt(ratio)} control_nodes={control_indices(problem.grid)}",
             file=out,
         )
     return EXIT_OK
+
+
+def _warning_line(message, category, filename, lineno, line=None):
+    return f"warning: {message}\n"
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     out = sys.stdout
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _warning_line
     try:
         if args.command == "run":
             return _cmd_run(args, out)
@@ -218,6 +226,8 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: output failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

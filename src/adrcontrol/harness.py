@@ -154,22 +154,150 @@ def _terminal_norm(grid, terminal):
     return math.sqrt(grid.h * float(np.sum(terminal**2)))
 
 
+# "%.17g" in numpy.  A double x with 1e-280 < |x| < 1e280 and decimal
+# exponent X has the 17 digits D = round(|x| * 10**(16 - X)).  The product
+# p is formed in long double from powers of ten that strtold parsed from
+# decimal strings, so correctly rounded.  For -11 <= X <= 16 the power is exact and p carries
+# one rounding, while D + 1/2 is representable, so only a computed fraction
+# of exactly 1/2 can sit on the wrong side of it; otherwise p is off by less
+# than 2**-6 and a fraction within 2**-5 of 1/2 is distrusted.  Distrusted
+# values, zeros, subnormals, extreme magnitudes, nan and inf are formatted
+# by "%" itself, a fast path with an exact fallback as in Loitsch, PLDI 2010.
+# Without a 64-bit long double significand every value takes the fallback.
+_WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
+_EXPONENTS = np.arange(-282, 283)  # X of 1e-280..1e280, one more each way for a miss or a carry
+_POW10 = np.fromstring(" ".join(f"1e{16 - x}" for x in _EXPONENTS.tolist()), np.longdouble, sep=" ")
+_MARGIN = np.where((_EXPONENTS >= -11) & (_EXPONENTS <= 16), 0.0, 2.0**-5)
+
+# A value's text takes 48 bytes: byte 0 the sign, 1-5 the "0." and leading
+# zeros of fixed notation below 1, 6 + 2i digit i and 7 + 2i the slot for a
+# point after it, 40-44 the exponent, 47 the newline; absent bytes are NUL.
+# As six uint64 words, words 1-4 hold four digits each.
+_VALUE_BYTES = 48
+_DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(48)  # "0000".."9999"
+_spaced = np.zeros((10000, 8), np.uint8)
+_spaced[:, 0::2] = _DIGITS
+_DIGIT_WORDS = _spaced.view(np.uint64).ravel()  # four digits, each followed by a NUL
+_z = (_DIGITS == 48).T.astype(np.int8)
+_TRAILING_ZEROS = _z[3] * (1 + _z[2] * (1 + _z[1] * (1 + _z[0])))
+# Row k: masks for words 0-4 that keep digits 0..k, and the point only before a kept digit.
+_kept = np.clip(2 * np.arange(17)[:, None] + 7 - 8 * np.arange(5), 0, 8)
+_KEEP = np.where(np.arange(8) < _kept[:, :, None], np.uint8(255), np.uint8(0))
+_KEEP = _KEEP.view(np.uint64)[:, :, 0]
+
+
+def _value_templates():
+    """Per exponent: the bytes of a value's text that depend on X alone,
+    and the digit after which the point goes (negative: before them all)."""
+    x = _EXPONENTS
+    fixed = (x >= -4) & (x < 17)
+    point = np.where(fixed, x, 0)
+    text = np.zeros((len(x), _VALUE_BYTES), np.uint8)
+    for e in range(-4, 0):
+        text[e - x[0], 1 : 2 - e] = np.frombuffer(b"0." + b"0" * (-e - 1), np.uint8)
+    sci = np.flatnonzero(~fixed)
+    text[sci, 40] = ord("e")
+    text[sci, 41] = np.where(x[sci] < 0, ord("-"), ord("+"))
+    digits = _DIGITS[np.abs(x[sci])]
+    wide = np.abs(x[sci]) >= 100
+    text[sci, 42:44] = np.where(wide[:, None], digits[:, 1:3], digits[:, 2:4])
+    text[sci[wide], 44] = digits[wide, 3]
+    dotted = np.flatnonzero((point >= 0) & (point < 16))
+    text[dotted, 7 + 2 * point[dotted]] = ord(".")
+    text[:, -1] = ord("\n")
+    return text.view(np.uint64), point.astype(np.int8)
+
+
+_TEMPLATES, _POINT = _value_templates()
+
+
+def _value_text(x):
+    """``"%.17g\\n" % v`` of each double v in x, as NUL-padded 48-byte rows."""
+    a = np.abs(x)
+    ok = (a > 1e-280) & (a < 1e280)
+    a[~ok] = 1.0
+    X = np.floor(np.log10(a)).astype(np.int16) - _EXPONENTS[0]
+    a = a.astype(np.longdouble)
+    p = a * _POW10.take(X)
+    D = p.astype(np.int64)
+    # log10 can miss X by one next to a power of ten.  After one correction
+    # D has 17 digits, or p's error made it 10**16 - 1 or 10**17, which
+    # round (and carry) to the right text.
+    off = (D >= 10**17).astype(np.int16) - (D < 10**16)
+    redo = np.flatnonzero(off)
+    X[redo] += off[redo]
+    p[redo] = a[redo] * _POW10.take(X[redo])
+    D[redo] = p[redo].astype(np.int64)
+    p -= D
+    frac = p.astype(np.float64)  # exact: p < 2**57 has at most 10 fraction bits
+    trust = ok & (np.abs(frac - 0.5) > _MARGIN.take(X))
+    trust &= _WIDE_LONG_DOUBLE
+    D += frac > 0.5
+    carry = D == 10**17
+    D[carry] = 10**16
+    X += carry
+
+    top = D // 10**8
+    hi = top.astype(np.int32)  # digits 0-8
+    lo = (D - top * 10**8).astype(np.int32)  # digits 9-16
+    lead, q, r = hi // 10**8, hi // 10**4, lo // 10**4
+    groups = (q - lead * 10**4, hi - q * 10**4, r, lo - r * 10**4)  # digits 1-4 .. 13-16
+    words = _TEMPLATES.take(X, axis=0)
+    for j, g in enumerate(groups):
+        words[:, j + 1] |= _DIGIT_WORDS.take(g)
+    text = words.view(np.uint8)
+    text[:, 6] = lead + 48
+    text[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+    # %g strips trailing zeros after the point, and the point if bare.
+    z = np.flatnonzero(groups[3] % 10 == 0)
+    zeros = np.zeros(len(z), np.int8)
+    run = np.ones(len(z), bool)
+    for g in reversed(groups):
+        g = g[z]
+        zeros += run * _TRAILING_ZEROS[g]
+        run &= g == 0
+    words[z, :5] &= _KEEP[np.maximum(16 - zeros, _POINT[X[z]])]
+
+    slow = np.flatnonzero(~trust)
+    if len(slow):
+        exact = np.array(["%.17g\n" % v for v in x[slow].tolist()], dtype=f"S{_VALUE_BYTES}")
+        text[slow] = exact.view(np.uint8).reshape(len(slow), _VALUE_BYTES)
+    return text
+
+
+def _text_rows(strings):
+    """ASCII strings as the rows of a NUL-padded uint8 array."""
+    rows = np.array(strings, dtype="S")
+    return rows.view(np.uint8).reshape(len(strings), rows.itemsize)
+
+
+_CHUNK = 1 << 13  # values per block: larger blocks only cost memory
+
+
 def _write_levels(path, header, dt, labels, levels):
     """Write the line "n,t,<label>,v" for every time level n and label.
 
-    ``levels[n]`` holds the values of level n in label order.  The label
-    part of each line is formatted once; each level is then formatted by
-    one ``%`` operation, with "n,t," spliced in front of every line.
-    ``"%.17g" % v`` and ``_fmt(v)`` give the same text for every double.
+    ``levels[n]`` holds the values of level n in label order.  Each block of
+    about _CHUNK values is laid out as rows of NUL-padded bytes,
+    "n,t," | "<label>," | _value_text(v), and one translate drops the
+    padding.  Every number reads as ``"%.17g" % v``, which is ``_fmt(v)``.
     """
-    tail = "".join(f"%s{label},%.17g\n" for label in labels)
-    fields = [None] * (2 * len(labels))
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        for n, values in enumerate(levels):
-            fields[0::2] = [f"{n},{_fmt(n * dt)},"] * len(labels)
-            fields[1::2] = values.tolist()
-            fh.write(tail % tuple(fields))
+    levels = np.asarray(levels, dtype=np.float64)
+    n_levels, n_labels = levels.shape
+    heads = _text_rows(["%d,%.17g," % (n, n * dt) for n in range(n_levels)])
+    tails = _text_rows([f"{label}," for label in labels])
+    hw, tw = heads.shape[1], tails.shape[1]
+    step = max(1, _CHUNK // n_labels)
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for start in range(0, n_levels, step):
+            block = levels[start : start + step]
+            buf = bytearray(block.size * (hw + tw + _VALUE_BYTES))
+            rows = np.frombuffer(buf, np.uint8).reshape(*block.shape, -1)
+            rows[:, :, :hw] = heads[start : start + step, None]
+            rows[:, :, hw : hw + tw] = tails
+            rows[:, :, hw + tw :] = _value_text(block.ravel()).reshape(*block.shape, -1)
+            fh.write(buf.translate(None, b"\0"))
 
 
 def write_state_csv(path, problem, state):

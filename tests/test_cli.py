@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import adrcontrol
 from adrcontrol.cli import main
+
+SRC = str(Path(adrcontrol.__file__).resolve().parent.parent)
 
 
 def run_args(out, *extra):
@@ -25,7 +32,7 @@ class TestCheck:
     def test_default_grid_is_accepted(self, capsys):
         assert main(["check"]) == 0
         text = capsys.readouterr().out
-        assert "cfl_ratio=0.5" in text
+        assert "cfl_ratio=0.49999999999999994 " in text
         assert "control_nodes=[0, 50, 100]" in text
 
     def test_indivisible_control_count(self):
@@ -58,6 +65,13 @@ class TestCheck:
             assert main(["check", "--mu", "1", "--H", "50", "--N", "2503", "--M", "2"]) == 0
         assert "M=2:" in capsys.readouterr().out
 
+    def test_ratio_prints_all_its_digits(self, capsys):
+        # 1.9999999 passes; six digits used to print it as the bound 2
+        argv = ["check", "--mu", "1", "--H", "50", "--N", "5005", "--T", "1.9999999", "--M", "2"]
+        with pytest.warns(UserWarning):
+            assert main(argv) == 0
+        assert "cfl_ratio=1.9999998999999999 " in capsys.readouterr().out
+
     def test_invalid_constants(self):
         assert main(["check", "--mu", "0"]) == 1
         assert main(["check", "--mu", "0.1", "--eps", "1", "--H", "10"]) == 1
@@ -88,6 +102,25 @@ def test_check_and_run_share_the_stability_policy(tmp_path, capsys, grid, refuse
     assert is_refused == refused
     assert refused == (err is not None and "refusing to run the explicit scheme" in err)
     assert len(messages) == int(warned)
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_warning_is_one_stderr_line(tmp_path, command):
+    # Outside pytest's warning capture: the CLI's own stderr text.
+    argv = [command, "--mu", "1", "--H", "50", "--N", "2503", "--M", "2"]
+    if command == "run":
+        argv += ["--out", str(tmp_path)]
+    path = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "PYTHONWARNINGS": "default"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "adrcontrol.cli", *argv], capture_output=True, text=True, env=env
+    )
+    lines = proc.stderr.splitlines()
+    assert lines[0] == (
+        "warning: stability ratio 1.9996004794246904 exceeds 1; the explicit scheme may blow up"
+    )
+    assert all(line.startswith(("warning: ", "error: ")) for line in lines)
+    assert proc.returncode == (0 if command == "check" else 2)  # run's march blows up
 
 
 class TestRun:

@@ -1,7 +1,11 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adrcontrol import (
     CGConfig,
@@ -23,6 +27,7 @@ from adrcontrol import (
 from adrcontrol import harness
 from adrcontrol.harness import _SUMMARY_KEYS, write_controls_csv, write_state_csv
 from adrcontrol.solvers import StateField
+from conftest import traced_peak
 
 
 def small_problem(mu=0.1, eps=0.1, N=50, H=10, M=2, **weights):
@@ -112,6 +117,135 @@ class TestWriters:
         write_controls_csv(tmp_path / "fast.csv", p, control)
         reference_controls_csv(tmp_path / "ref.csv", p, control)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def percent_text(values):
+    """The reference: one ``"%.17g" %`` per value, one line each."""
+    return "".join("%.17g\n" % v for v in values.tolist()).encode()
+
+
+def assert_formats_as_percent(values):
+    got = harness._value_text(values).tobytes().translate(None, b"\0")
+    if got != percent_text(values):
+        lines = got.decode().splitlines()
+        bad = [(v, g) for v, g in zip(values.tolist(), lines) if g != "%.17g" % v]
+        pytest.fail(f"{len(bad)} values differ from %.17g, first (value, text): {bad[:5]}")
+
+
+def near_tie_doubles(k, count, rng):
+    """Doubles x with x * 10**k in [1e16, 1e17) and within 2**-31 of a tie.
+
+    x = m * 2**-(s + k) gives x * 10**k = m * 5**k / 2**s, whose fraction
+    is 1/2 + t / 2**s when m * 5**k = 2**(s - 1) + t modulo 2**s.  With few
+    fraction bits (small k) only t = 0 is close enough: exact ties, which
+    %.17g rounds to even.
+    """
+    s = round(52.5 + k * math.log2(5) - 16.5 * math.log2(10))  # fraction bits
+    span = 1 << (s - 31) if s > 31 else 0
+    inverse = pow(5**k, -1, 1 << s)
+    found = []
+    while len(found) < count:
+        t = int(rng.integers(-span, span + 1))
+        m = ((1 << (s - 1)) + t) * inverse % (1 << s)
+        if s < 53:  # any m + j * 2**s meets the congruence too
+            m += int(rng.integers(-(-(2**52 - m) >> s), ((2**53 - m) >> s) + 1)) << s
+        if 2**52 <= m < 2**53 and 10**16 << s <= m * 5**k < 10**17 << s:
+            found.append(math.ldexp(m, -s - k))
+    return found
+
+
+EDGE_VALUES = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    np.nextafter(2.2250738585072014e-308, 0.0),  # the largest subnormal
+    2.2250738585072014e-308,
+    1.7976931348623157e308,
+    1e16,
+    1e17,
+    9.9999999999999999e16,
+    1e-4,
+    1e-5,
+    *[s * np.nextafter(1e280, d) for s in (1.0, -1.0) for d in (0.0, np.inf)],
+    *[s * np.nextafter(1e-280, d) for s in (1.0, -1.0) for d in (0.0, np.inf)],
+    *[float(f"1e{k}") for k in range(-300, 301)],
+    *[np.nextafter(float(f"1e{k}"), d) for k in range(-300, 301) for d in (0.0, np.inf)],
+]
+
+
+class TestValueText:
+    """The vectorized writer's number text against ``"%.17g" %`` itself."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(12)
+        values = rng.integers(0, 2**64, 1_100_000, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        assert len(values) >= 1_000_000
+        assert_formats_as_percent(values)
+
+    def test_constructed_near_ties(self):
+        # 18 significant digits ending in 5 are ties of two 17-digit
+        # decimals, though the nearest double often lies a few units off;
+        # near_tie_doubles adds doubles within 2**-31 of a tie, or on one.
+        rng = np.random.default_rng(13)
+        digits = rng.integers(10**16, 10**17, 200_000).tolist()
+        exponents = rng.integers(-60, 60, 200_000).tolist()
+        values = [float(f"{d}5e{e}") for d, e in zip(digits, exponents)]
+        for k in range(2, 29):
+            values += near_tie_doubles(k, 10, rng)
+        values = np.array(values)
+        assert_formats_as_percent(np.concatenate([values, -values]))
+
+    def test_edge_values(self):
+        assert_formats_as_percent(np.array(EDGE_VALUES + [np.nan, np.inf, -np.inf]))
+
+    def test_scaled_integers_and_decades(self):
+        rng = np.random.default_rng(14)
+        n = 200_000
+        ints = rng.integers(1, 2**53, n) * 2.0 ** rng.integers(-80, 40, n)
+        decades = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+        assert_formats_as_percent(np.concatenate([ints, decades, rng.uniform(-10, 10, n)]))
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+    def test_any_finite_doubles(self, values):
+        assert_formats_as_percent(np.array(values))
+
+    def test_narrow_long_double_takes_the_exact_path(self, monkeypatch, tmp_path):
+        # Without a 64-bit long double significand nothing is trusted, so
+        # even wrong digit tables leave the text exact.
+        monkeypatch.setattr(harness, "_WIDE_LONG_DOUBLE", False)
+        monkeypatch.setattr(harness, "_DIGIT_WORDS", np.zeros_like(harness._DIGIT_WORDS))
+        rng = np.random.default_rng(15)
+        values = rng.standard_normal(10_000) * 10.0 ** rng.integers(-20, 20, 10_000)
+        assert_formats_as_percent(values)
+        p = small_problem(N=7, H=6, M=3)
+        state = StateField(TestWriters().values((7, 9), 1))
+        write_state_csv(tmp_path / "fast.csv", p, state)
+        reference_state_csv(tmp_path / "ref.csv", p, state)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.skipif(
+        not harness._WIDE_LONG_DOUBLE, reason="the table is only read with a 64-bit significand"
+    )
+    def test_powers_of_ten_are_correctly_rounded(self):
+        for x, power in zip(harness._EXPONENTS.tolist(), harness._POW10):
+            mantissa, exponent = np.frexp(power)
+            m, e = int(np.ldexp(mantissa, 64)), int(exponent) - 64
+            exact = Fraction(10) ** (16 - x)
+            assert abs(Fraction(m) * Fraction(2) ** e - exact) <= Fraction(2) ** e / 2, x
+
+    def test_memory_stays_bounded_on_a_full_trajectory(self, tmp_path):
+        # write_state_csv formats blocks of about 2**13 values, about 2 MB
+        # traced; one block for this whole trajectory traces about 100 MB.
+        p = small_problem(N=4020, H=100, M=4)
+        values = TestWriters().values((101, 4022), 16)
+        state = StateField(np.asfortranarray(values))
+        _, peak = traced_peak(write_state_csv, tmp_path / "state.csv", p, state)
+        assert peak <= 8 * 2**20
+        reference_state_csv(tmp_path / "ref.csv", p, state)
+        assert (tmp_path / "state.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestInitialCondition:

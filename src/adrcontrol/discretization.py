@@ -174,18 +174,18 @@ def check_stability(problem):
     """Apply the stability policy to problem and return its cfl_ratio.
 
     ConfigurationError above REFUSE_RATIO; a UserWarning above WARN_RATIO.
-    The ratio is printed with repr, so a ratio under a bound never reads
-    as the bound.
+    The ratio is printed with 17 significant digits, the CLI's format for
+    it, so a ratio under a bound never reads as the bound.
     """
     ratio = cfl_ratio(problem)
     if ratio > REFUSE_RATIO:
         raise ConfigurationError(
-            f"stability ratio {ratio!r} exceeds {REFUSE_RATIO:g}; "
+            f"stability ratio {ratio:.17g} exceeds {REFUSE_RATIO:g}; "
             "refusing to run the explicit scheme"
         )
     if ratio > WARN_RATIO:
         warnings.warn(
-            f"stability ratio {ratio!r} exceeds {WARN_RATIO:g}; the explicit scheme may blow up",
+            f"stability ratio {ratio:.17g} exceeds {WARN_RATIO:g}; the explicit scheme may blow up",
             stacklevel=2,
         )
     return ratio

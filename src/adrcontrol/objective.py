@@ -12,10 +12,10 @@ gradient of J has the closed form
 
     grad[k, n] = k0*v[k, n] + p[j_k, n]
 
-where p is the adjoint trajectory and j_k the node carrying control k.  The
-discrete point sources carry a 1/h factor in the state scheme, which is what
-makes the interior trace components land on the same h-free formula as the
-boundary ones.
+where p is the adjoint trajectory and j_k the node carrying control k, so
+only the adjoint's M+1 traces p[j_k, .] enter.  The discrete point sources
+carry a 1/h factor in the state scheme, which is what makes the interior
+trace components land on the same h-free formula as the boundary ones.
 """
 
 from __future__ import annotations
@@ -67,10 +67,15 @@ def inner_product(grid, a, b):
 def gradient(problem, control, adjoint):
     """Reduced cost gradient k0*v[k, n] + p[j_k, n] as a ControlField.
 
-    The adjoint must come from the state generated by this control for the
-    result to be the gradient at v; the formula itself is affine in (v, p).
+    ``adjoint`` is either the full trajectory (H+1 rows, of which the
+    control rows are read) or its traces, solve_adjoint(problem, state,
+    control_indices(grid)) (M+1 rows, read as they are); when H == M the
+    two are the same array.  The adjoint must come from the state generated
+    by this control for the result to be the gradient at v; the formula
+    itself is affine in (v, p).
     """
     g, p = problem.grid, problem.phys
     v = control.checked((g.M + 1, g.N + 1))
-    pv = adjoint.checked((g.H + 1, g.N + 1))
-    return ControlField(p.k0 * v + pv[control_indices(g), :])
+    full = len(adjoint.values) == g.H + 1
+    pv = adjoint.checked((g.H + 1 if full else g.M + 1, g.N + 1))
+    return ControlField(p.k0 * v + (pv[control_indices(g)] if full else pv))

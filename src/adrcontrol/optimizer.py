@@ -13,7 +13,11 @@ Starting from u = 0 with gradient g and direction w = g:
     update      u <- u - rho*w,  g <- g - rho*A w
     restart     gamma = <g+, g+> / <g, g>,  w <- g+ + gamma*w
 
-The stored state trajectory is updated incrementally by linearity
+Per iteration CG holds two trajectories, the state y and the perturbation
+dy, each (H+1) x (N+2), and the M+1 adjoint traces the gradient reads: its
+adjoint sweeps march every node but store only the control rows
+(solve_adjoint with nodes=control_indices), (M+1) x (N+1) values.  The
+stored state trajectory is updated incrementally by linearity
 (y <- y - rho*dy), which prices the per-iteration cost report at no extra
 solves.  The report hands that trajectory back as ``CGReport.state``: it is
 the state at the returned control up to rounding (over the nine H = 100
@@ -29,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 
+from .discretization import control_indices
 from .errors import ConfigurationError, CurvatureLossError
 from .objective import cost, gradient
 from .solvers import ControlField, StateField, solve_adjoint, solve_perturbation, solve_state
@@ -115,10 +120,11 @@ def cg_solve(problem, y0, config=None):
         config = CGConfig()
     g = problem.grid
     max_iter = resolve_max_iter(config, g)
+    traces = control_indices(g)  # the only adjoint rows the gradient reads
 
     u = np.zeros((g.M + 1, g.N + 1))
     y = solve_state(problem, y0, ControlField(u)).values
-    grad = gradient(problem, ControlField(u), solve_adjoint(problem, StateField(y))).values
+    grad = gradient(problem, ControlField(u), solve_adjoint(problem, StateField(y), traces)).values
 
     gg0 = g.dt * float(np.sum(grad * grad))
     cost_history = [cost(problem, ControlField(u), StateField(y))]
@@ -133,7 +139,7 @@ def cg_solve(problem, y0, config=None):
         direction = ControlField(w)
         dy = None  # release the previous perturbation before the next is allocated
         dy = solve_perturbation(problem, direction)
-        aw = gradient(problem, direction, solve_adjoint(problem, dy)).values
+        aw = gradient(problem, direction, solve_adjoint(problem, dy, traces)).values
         curvature = g.dt * float(np.sum(aw * w))
         if curvature <= 0.0:
             raise CurvatureLossError(iteration=m, curvature=curvature)

@@ -32,11 +32,16 @@ straight from the state's rows.  The Robin closures are
 p[-1, n] = mu*p[0, n]/(mu - eps*h) and p[H+1, n] = (mu - eps*h)*p[H, n]/mu.
 
 A sweep writes each level of its trajectory exactly once and never reads it
-back.  Its forcing is added by a per-step callback: for the state the M+1
-control columns of the step, as lo*(h/mu)*v[0] at node 0, hi*(h/mu)*v[M] at
-node H (the flux closures' share of the stencil) and dt*v[k]/h at each
-interior control node; for the adjoint dt*k1 times the state's row.  The
-kernel splits the levels into blocks of GUARD_BLOCK and makes two passes:
+back.  It may store a subset of its rows: every node is marched and guarded,
+but only the kept nodes of each level are written, so ``solve_adjoint(...,
+nodes)`` returns (N+1) x len(nodes) values, the traces the reduced gradient
+reads, instead of the (N+1) x (H+1) trajectory.
+
+Its forcing is added by a per-step callback: for the state the M+1 control
+columns of the step, as lo*(h/mu)*v[0] at node 0, hi*(h/mu)*v[M] at node H
+(the flux closures' share of the stencil) and dt*v[k]/h at each interior
+control node; for the adjoint dt*k1 times the state's row.  The kernel
+splits the levels into blocks of GUARD_BLOCK and makes two passes:
 
 1. Every block but the last is marched side by side to its end, block 0
    from the start and the others from zero, in one contiguous carry array
@@ -49,9 +54,10 @@ kernel splits the levels into blocks of GUARD_BLOCK and makes two passes:
    through a dense (A^T)^GUARD_BLOCK, computed once per stencil, gains and
    width.
 2. Every block is marched again from its true start.  Each level is
-   checked against the guard |x| <= BLOWUP_LIMIT while it is still in the
-   carry, then written to the trajectory; a short last block leaves the
-   carry when its levels run out, so nothing past the end is marched.
+   checked against the guard |x| <= BLOWUP_LIMIT at every node while it is
+   still in the carry, then its kept nodes are written to the output; a
+   short last block leaves the carry when its levels run out, so nothing
+   past the end is marched.
 
 Overflow warnings are silenced, and ``_march`` alone decides the blow-up
 step: when a level of a march of several blocks fails the guard, it marches
@@ -140,7 +146,8 @@ class StateField(_Field):
 
 
 class AdjointField(_Field):
-    """Adjoint trajectory values[j, n] at nodes j = 0..H, times n = 0..N."""
+    """Adjoint trajectory values[r, n] at times n = 0..N: row r is node r
+    (j = 0..H), or the r-th stored node of a sweep that stores a subset."""
 
 
 def _stencil(problem, advection_sign):
@@ -184,30 +191,32 @@ def _power(stencil, gains, width, block):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _march(levels, stencil, gains, force, block):
-    """Fill ``levels[1:]`` by ``levels[i+1] = A levels[i] + forcing``, in blocks.
+def _march(start, levels, keep, stencil, gains, force, block):
+    """Fill ``levels`` by ``x[i+1] = A x[i] + forcing`` from ``x[0] = start``, in blocks.
 
-    ``levels`` is the (steps+1, H+1) buffer in marching order with the start
-    in row 0; ``stencil`` is (lo, mid, hi); a level's left and right ghosts
-    are gains[0]*edge and gains[1]*edge; ``force(rows, steps)`` adds to each
-    row of ``rows`` the forcing of its step, ``steps`` being the slice of
-    their marching indices; ``block`` is the number of levels per block.
+    ``start`` is the (H+1,) level the march begins from; row i of the
+    (steps, len(keep)) output ``levels`` is ``x[i+1][keep]``, so ``keep`` is
+    ``slice(None)`` for every node or a list of the nodes to store;
+    ``stencil`` is (lo, mid, hi); a level's left and right ghosts are
+    gains[0]*edge and gains[1]*edge; ``force(rows, steps)`` adds to each row
+    of ``rows`` the forcing of its step, ``steps`` being the slice of their
+    marching indices; ``block`` is the number of levels per block.
 
     Returns the marching index of the first level beyond BLOWUP_LIMIT (or
-    not a number), as a per-step march reports it: a march of several
-    blocks that fails the guard is marched again as one block.  Returns
-    None when every level passes.
+    not a number) at any node, stored or not, as a per-step march reports
+    it: a march of several blocks that fails the guard is marched again as
+    one block.  Returns None when every level passes.
     """
-    steps, width = len(levels) - 1, levels.shape[1]
+    steps, width = len(levels), len(start)
     blocks = -(-steps // block)
     # Row b of starts is the true level before block b.
     starts = np.empty((blocks, width))
-    starts[0] = levels[0]
+    starts[0] = start
     if blocks > 1:
         # Pass 1: every block but the last, marched from zero (block 0 from
         # the start) to its end, then the ends carried through A^block.
         x = np.zeros((blocks - 1, width))
-        x[0] = levels[0]
+        x[0] = start
         for i in range(block):
             x = _step(x, stencil, gains)
             force(x, slice(i, i + len(x) * block, block))
@@ -216,15 +225,16 @@ def _march(levels, stencil, gains, force, block):
         for b in range(2, blocks):
             starts[b] += starts[b - 1] @ power
     # Pass 2: every block from its true start; level i+1 of each is guarded
-    # and written once.  A short last block drops out of x when it ends.
+    # at every node, then its kept nodes are written once.  A short last
+    # block drops out of x when it ends.
     x = starts
     for i in range(min(block, steps)):
-        rows = levels[i + 1 :: block]
+        rows = levels[i::block]
         x = _step(x[: len(rows)], stencil, gains)
         force(x, slice(i, i + len(x) * block, block))
         if not (-BLOWUP_LIMIT <= x.min() and x.max() <= BLOWUP_LIMIT):
-            return i + 1 if blocks == 1 else _march(levels, stencil, gains, force, steps)
-        rows[...] = x
+            return i + 1 if blocks == 1 else _march(start, levels, keep, stencil, gains, force, steps)
+        rows[...] = x[:, keep]
     return None
 
 
@@ -273,13 +283,13 @@ def solve_state(problem, y0, control):
     # Time-major work array: work[n, j] is node j at time level n.
     work = np.empty((N + 2, H + 1))
     work[0] = y0
-    bad = _march(work, stencil, (1.0, 1.0), force, GUARD_BLOCK)
+    bad = _march(y0, work[1:], slice(None), stencil, (1.0, 1.0), force, GUARD_BLOCK)
     if bad is not None:
         raise SolverBlowUpError(step=bad)
     return StateField(work.T)
 
 
-def solve_adjoint(problem, state):
+def solve_adjoint(problem, state, nodes=None):
     """March the adjoint backward from the terminal state penalty.
 
     The terminal condition is p[., N] = k2 * y[., N+1]; the running penalty
@@ -290,10 +300,14 @@ def solve_adjoint(problem, state):
     problem : DiscreteProblem
     state : StateField
         Trajectory produced by solve_state on the same problem.
+    nodes : sequence of int, optional
+        The nodes whose traces are stored, in order.  Every node is marched
+        and guarded either way; by default every node is stored.
 
     Returns
     -------
     AdjointField
+        Row r is node r, or node nodes[r] when nodes is given.
     """
     g, p = problem.grid, problem.phys
     H, N, h, dt = g.H, g.N, g.h, g.dt
@@ -302,6 +316,7 @@ def solve_adjoint(problem, state):
     y = state.checked((H + 1, N + 2))
     left_gain = mu / (mu - eps * h)
     right_gain = (mu - eps * h) / mu
+    keep = slice(None) if nodes is None else list(nodes)
 
     # Marching index i is time level N - i; the step from it reads y[., N - i].
     source = y.T[N:0:-1]
@@ -309,9 +324,12 @@ def solve_adjoint(problem, state):
     def force(rows, steps):
         rows += (dt * p.k1) * source[steps]
 
-    work = np.empty((N + 1, H + 1))
-    work[N] = p.k2 * y[:, N + 1]
-    bad = _march(work[::-1], _stencil(problem, 1.0), (left_gain, right_gain), force, GUARD_BLOCK)
+    terminal = p.k2 * y[:, N + 1]
+    stored = terminal[keep]
+    work = np.empty((N + 1, len(stored)))
+    work[N] = stored
+    stencil = _stencil(problem, 1.0)
+    bad = _march(terminal, work[-2::-1], keep, stencil, (left_gain, right_gain), force, GUARD_BLOCK)
     if bad is not None:
         raise SolverBlowUpError(step=N - bad)
     return AdjointField(work.T)

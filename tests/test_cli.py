@@ -72,6 +72,14 @@ class TestCheck:
             assert main(argv) == 0
         assert "cfl_ratio=1.9999998999999999 " in capsys.readouterr().out
 
+    def test_warning_and_grid_line_print_the_same_ratio(self, capsys):
+        # repr gives 1.9999999 for this double; both lines use 17 digits
+        argv = ["check", "--mu", "1", "--H", "50", "--N", "5005", "--T", "1.9999999", "--M", "2"]
+        with pytest.warns(UserWarning) as record:
+            assert main(argv) == 0
+        assert str(record[0].message).startswith("stability ratio 1.9999998999999999 exceeds 1;")
+        assert "cfl_ratio=1.9999998999999999 " in capsys.readouterr().out
+
     def test_invalid_constants(self):
         assert main(["check", "--mu", "0"]) == 1
         assert main(["check", "--mu", "0.1", "--eps", "1", "--H", "10"]) == 1

@@ -175,12 +175,26 @@ class TestGradient:
         rhs = gradient(p, v1, a1).values + gradient(p, v2, a2).values
         assert np.array_equal(lhs.values, rhs)
 
+    @pytest.mark.parametrize("H, M", [(10, 2), (4, 4)], ids=["traces", "H=M"])
+    def test_traces_adjoint_gives_the_full_adjoints_gradient(self, H, M):
+        p = make_problem(N=70, H=H, M=M, eps=-0.2)
+        rng = np.random.default_rng(H)
+        v = ControlField(rng.standard_normal((M + 1, 71)))
+        y = solve_state(p, rng.standard_normal(H + 1), v)
+        traces = solve_adjoint(p, y, control_indices(p.grid))
+        assert traces.values.shape == (M + 1, 71)
+        full = solve_adjoint(p, y)
+        assert gradient(p, v, traces).values.tobytes() == gradient(p, v, full).values.tobytes()
+
     def test_rejects_mismatched_adjoint(self):
         p = make_problem(N=6)
         with pytest.raises(ValueError):
             gradient(p, ControlField.zeros(p.grid), AdjointField(np.zeros((11, 5))))
         with pytest.raises(ValueError):
             gradient(p, ControlField(np.zeros((3, 6))), AdjointField(np.zeros((11, 7))))
+        for rows, columns in [(3, 6), (4, 7)]:  # traces of the wrong length; neither H+1 nor M+1 rows
+            with pytest.raises(ValueError):
+                gradient(p, ControlField.zeros(p.grid), AdjointField(np.zeros((rows, columns))))
 
 
 class TestGradientAgainstFiniteDifferences:

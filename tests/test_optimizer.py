@@ -7,12 +7,14 @@ from adrcontrol import (
     ControlField,
     CurvatureLossError,
     DiscreteProblem,
+    InitialCondition,
     PhysicalConfig,
     cfl_ratio,
     cg_solve,
     cost,
     gradient,
     inner_product,
+    make_initial_condition,
     solve_adjoint,
     solve_perturbation,
     solve_state,
@@ -24,7 +26,7 @@ from adrcontrol.optimizer import (
     resolve_max_iter,
 )
 
-from conftest import make_problem, smooth_profile
+from conftest import default_problem, make_problem, smooth_profile, traced_peak
 
 
 def tiny_symmetric_problem():
@@ -119,6 +121,18 @@ class TestReportedState:
         p = make_problem(**kwargs)
         u, report = cg_solve(p, bump(p), config)
         assert cost(p, u, report.state).total == report.cost_history[-1].total
+
+
+class TestPeakMemory:
+    def test_holds_two_trajectories_and_the_adjoint_traces(self):
+        # State y and perturbation dy are trajectories; the adjoint sweeps
+        # store only the M+1 control traces.  Storing the whole adjoint read
+        # 3.40 trajectories here, a third trajectory.
+        p = default_problem()
+        y0 = make_initial_condition(InitialCondition("sine", frequency=5), p.grid)
+        (_, report), peak = traced_peak(cg_solve, p, y0)
+        assert report.status == STATUS_CONVERGED
+        assert peak <= 2.6 * report.state.values.nbytes
 
 
 class TestTinySymmetricInstance:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adrcontrol import (
     ControlField,
@@ -317,6 +319,48 @@ class TestSolveAdjoint:
             solve_adjoint(p, y)
 
 
+@st.composite
+def adjoint_cases(draw):
+    """(problem, state, nodes) on a small stable grid whose adjoint marches
+    a level count near a multiple of GUARD_BLOCK."""
+    H = draw(st.integers(1, 12))
+    N = max(1, GUARD_BLOCK * draw(st.integers(0, 3)) + draw(st.integers(-2, 2)))
+    mu, eps, h = 0.1, draw(st.floats(-0.5, 0.5)), 1.0 / H
+    if abs(mu - eps * h) <= 0.01:  # keep clear of the refused mu = eps*h
+        eps = -eps
+    T = draw(st.floats(0.05, 1.0)) * N / (2.0 * mu / h**2 + abs(eps) / h)  # stability ratio 0.05..1
+    p = make_problem(T=T, mu=mu, eps=eps, N=N, H=H, M=1, k1=0.7, k2=1.3)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = StateField(rng.standard_normal((H + 1, N + 2)))
+    nodes = draw(st.lists(st.integers(0, H), min_size=2, max_size=H + 3))
+    return p, state, nodes
+
+
+class TestStoredNodes:
+    """solve_adjoint with nodes stores exactly those rows of the full sweep."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(adjoint_cases())
+    def test_rows_are_the_full_trajectorys_bitwise(self, case):
+        p, state, nodes = case
+        full = solve_adjoint(p, state).values
+        stored = solve_adjoint(p, state, nodes).values
+        assert stored.shape == (len(nodes), p.grid.N + 1)
+        assert stored.tobytes() == full[nodes].tobytes()
+
+    def test_blow_up_at_an_unstored_node_reports_the_same_step(self):
+        # Only nodes 0 and 50 are stored.  The terminal data sit in between,
+        # and at the step the guard fires those two nodes are still about
+        # 3e148, so only the unstored nodes can trip it; the march of several
+        # blocks redoes itself as one block.
+        p = unstable_problem()
+        values = np.zeros((p.grid.H + 1, p.grid.N + 2))
+        values[20:31, -1] = 0.3
+        step = blow_up_step(solve_adjoint, p, StateField(values))
+        assert p.grid.N - step > GUARD_BLOCK
+        assert step == blow_up_step(solve_adjoint, p, StateField(values), [0, p.grid.H])
+
+
 class TestKernelAgainstLoopReference:
     """The blocked march kernel against the per-step formulas."""
 
@@ -444,6 +488,18 @@ class TestPeakMemory:
         assert peak <= self.LIMIT * y.values.nbytes
         q, peak = traced_peak(solve_adjoint, p, y)
         assert peak <= self.LIMIT * q.values.nbytes
+
+    def test_adjoint_traces_store_no_trajectory(self):
+        # A sweep storing every node peaks at 1.06 of a trajectory.  The
+        # first sweep of a kind also computes its cached carry power (about
+        # 0.04 of a trajectory here), so the traced sweep is the second.
+        p = default_problem()
+        g = p.grid
+        y = solve_state(p, np.random.default_rng(1).standard_normal(g.H + 1), ControlField.zeros(g))
+        solve_adjoint(p, y, control_indices(g))
+        q, peak = traced_peak(solve_adjoint, p, y, control_indices(g))
+        assert q.values.shape == (g.M + 1, g.N + 1)
+        assert peak <= 0.15 * (g.H + 1) * (g.N + 1) * 8
 
 
 class TestDuality:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -123,7 +123,11 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Result row of one run; metric fields stay None after a solver failure."""
+    """Result row of one run; metric fields stay None after a solver failure.
+
+    ``report`` is cg_solve's report with state=None: run_experiment writes
+    the trajectory to state.csv and keeps no copy.
+    """
 
     M: int
     status: str
@@ -355,6 +359,35 @@ def write_summary_txt(path, row):
             fh.write(f"{key}={values[key]}\n")
 
 
+def _run_count(spec, problem, y0, shared):
+    """Solve one control count, write its files and return its row.
+
+    A failed row differs from a solved one only in its metrics.
+    """
+    run_dir = spec.output_dir / f"{spec.ic.kind}_{problem.grid.M}"
+    run_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        control, report = cg_solve(problem, y0, spec.cg)
+    except (SolverBlowUpError, CurvatureLossError) as exc:
+        metrics = dict(status=exc.status, iterations=0, error=str(exc))
+    else:
+        metrics = dict(
+            status=report.status,
+            iterations=report.iterations,
+            cost=report.cost_history[-1],
+            control_energy=inner_product(problem.grid, control, control),
+            terminal_norm=_terminal_norm(problem.grid, report.state.terminal),
+            control=control,
+            report=replace(report, state=None),
+        )
+        write_state_csv(run_dir / "state.csv", problem, report.state)
+        write_controls_csv(run_dir / "controls.csv", problem, control)
+        write_convergence_csv(run_dir / "convergence.csv", report)
+    row = ExperimentSummary(M=problem.grid.M, run_dir=run_dir, **shared, **metrics)
+    write_summary_txt(run_dir / "summary.txt", row)
+    return row
+
+
 def run_experiment(spec):
     """Run the optimizer once per control count and write all output files.
 
@@ -362,58 +395,30 @@ def run_experiment(spec):
     check_stability applies the stability policy first, so a refused grid
     raises ConfigurationError before any solve.  A solver failure is
     recorded in its run's row, status "blow_up" or "curvature_loss" (the
-    exception's ``status``), and does not abort the remaining runs.
+    exception's ``status``), and does not abort the remaining runs.  At
+    most one count's trajectories are held at a time.
     """
     phys = spec.problem.phys
     base_grid = spec.problem.grid
     ratio = check_stability(spec.problem)
     y0 = make_initial_condition(spec.ic, base_grid)
-    key = _base_key(phys, base_grid, spec.ic)
 
     # The uncontrolled baseline does not involve controls, so one solve
-    # serves every control count.  If it blows up, its norm stays None: each
-    # count's first CG sweep is the same zero-control march, and its row
-    # records the blow-up.
+    # serves every control count, and only its terminal norm is kept.  If
+    # it blows up, the norm stays None: each count's first CG sweep is the
+    # same zero-control march, and its row records the blow-up.
     uncontrolled_norm = None
     with suppress(SolverBlowUpError):
-        baseline = solve_state(spec.problem, y0, ControlField.zeros(base_grid))
-        uncontrolled_norm = _terminal_norm(base_grid, baseline.terminal)
+        zero = ControlField.zeros(base_grid)
+        uncontrolled_norm = _terminal_norm(base_grid, solve_state(spec.problem, y0, zero).terminal)
 
-    rows = []
-    for problem in DiscreteProblem.for_counts(phys, base_grid.N, base_grid.H, spec.control_counts):
-        m = problem.grid.M
-        run_dir = spec.output_dir / f"{spec.ic.kind}_{m}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-
-        # A failed row differs from a solved one only in its metrics.
-        try:
-            control, report = cg_solve(problem, y0, spec.cg)
-        except (SolverBlowUpError, CurvatureLossError) as exc:
-            metrics = dict(status=exc.status, iterations=0, error=str(exc))
-        else:
-            metrics = dict(
-                status=report.status,
-                iterations=report.iterations,
-                cost=report.cost_history[-1],
-                control_energy=inner_product(problem.grid, control, control),
-                terminal_norm=_terminal_norm(problem.grid, report.state.terminal),
-                control=control,
-                report=report,
-            )
-            write_state_csv(run_dir / "state.csv", problem, report.state)
-            write_controls_csv(run_dir / "controls.csv", problem, control)
-            write_convergence_csv(run_dir / "convergence.csv", report)
-        row = ExperimentSummary(
-            M=m,
-            cfl_ratio=ratio,
-            base_key=key,
-            uncontrolled_terminal_norm=uncontrolled_norm,
-            run_dir=run_dir,
-            **metrics,
-        )
-        write_summary_txt(run_dir / "summary.txt", row)
-        rows.append(row)
-    return rows
+    shared = dict(
+        cfl_ratio=ratio,
+        base_key=_base_key(phys, base_grid, spec.ic),
+        uncontrolled_terminal_norm=uncontrolled_norm,
+    )
+    problems = DiscreteProblem.for_counts(phys, base_grid.N, base_grid.H, spec.control_counts)
+    return [_run_count(spec, problem, y0, shared) for problem in problems]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import control_indices
 from .solvers import ControlField
 
 __all__ = ["CostBreakdown", "cost", "inner_product", "gradient"]
@@ -67,15 +66,9 @@ def inner_product(grid, a, b):
 def gradient(problem, control, adjoint):
     """Reduced cost gradient k0*v[k, n] + p[j_k, n] as a ControlField.
 
-    ``adjoint`` is either the full trajectory (H+1 rows, of which the
-    control rows are read) or its traces, solve_adjoint(problem, state,
-    control_indices(grid)) (M+1 rows, read as they are); when H == M the
-    two are the same array.  The adjoint must come from the state generated
-    by this control for the result to be the gradient at v; the formula
-    itself is affine in (v, p).
+    ``adjoint`` holds the traces p[j_k, .], as solve_adjoint returns them.
+    It must come from the state generated by this control for the result to
+    be the gradient at v; the formula itself is affine in (v, p).
     """
-    g, p = problem.grid, problem.phys
-    v = control.checked((g.M + 1, g.N + 1))
-    full = len(adjoint.values) == g.H + 1
-    pv = adjoint.checked((g.H + 1 if full else g.M + 1, g.N + 1))
-    return ControlField(p.k0 * v + (pv[control_indices(g)] if full else pv))
+    shape = (problem.grid.M + 1, problem.grid.N + 1)
+    return ControlField(problem.phys.k0 * control.checked(shape) + adjoint.checked(shape))

@@ -14,15 +14,15 @@ Starting from u = 0 with gradient g and direction w = g:
     restart     gamma = <g+, g+> / <g, g>,  w <- g+ + gamma*w
 
 Per iteration CG holds two trajectories, the state y and the perturbation
-dy, each (H+1) x (N+2), and the M+1 adjoint traces the gradient reads: its
-adjoint sweeps march every node but store only the control rows
-(solve_adjoint with nodes=control_indices), (M+1) x (N+1) values.  The
-stored state trajectory is updated incrementally by linearity
-(y <- y - rho*dy), which prices the per-iteration cost report at no extra
-solves.  The report hands that trajectory back as ``CGReport.state``: it is
-the state at the returned control up to rounding (over the nine H = 100
-acceptance solves it differs from a fresh solve_state by at most 3.3e-15
-of its largest magnitude), so callers need not solve again.
+dy, each (H+1) x (N+2), and the M+1 adjoint traces the gradient reads,
+(M+1) x (N+1) values: solve_adjoint marches every node but stores only the
+control rows.  The stored state trajectory is updated incrementally by
+linearity (y <- y - rho*dy), which prices the per-iteration cost report at
+no extra solves.  The report hands that trajectory back as
+``CGReport.state``: it is the state at the returned control up to rounding
+(over the nine H = 100 acceptance solves it differs from a fresh
+solve_state by at most 3.3e-15 of its largest magnitude), so callers need
+not solve again.
 Iteration stops when <g, g> has dropped below tol^2 times its initial value.
 """
 
@@ -33,7 +33,6 @@ from typing import Optional
 
 import numpy as np
 
-from .discretization import control_indices
 from .errors import ConfigurationError, CurvatureLossError
 from .objective import cost, gradient
 from .solvers import ControlField, StateField, solve_adjoint, solve_perturbation, solve_state
@@ -76,14 +75,16 @@ class CGReport:
     """Iteration record: histories carry one entry per iterate, m = 0 first.
 
     ``state`` is the state trajectory at the final iterate, the one the last
-    cost_history entry was priced on; it takes no part in comparisons.
+    cost_history entry was priced on; it takes no part in comparisons.  A
+    row of run_experiment holds the report with state=None, once the
+    trajectory is written to state.csv.
     """
 
     iterations: int
     status: str
     cost_history: tuple
     grad_ratio_history: tuple
-    state: StateField = field(compare=False, repr=False)
+    state: Optional[StateField] = field(compare=False, repr=False)
 
 
 def resolve_max_iter(config, grid):
@@ -120,11 +121,10 @@ def cg_solve(problem, y0, config=None):
         config = CGConfig()
     g = problem.grid
     max_iter = resolve_max_iter(config, g)
-    traces = control_indices(g)  # the only adjoint rows the gradient reads
 
     u = np.zeros((g.M + 1, g.N + 1))
     y = solve_state(problem, y0, ControlField(u)).values
-    grad = gradient(problem, ControlField(u), solve_adjoint(problem, StateField(y), traces)).values
+    grad = gradient(problem, ControlField(u), solve_adjoint(problem, StateField(y))).values
 
     gg0 = g.dt * float(np.sum(grad * grad))
     cost_history = [cost(problem, ControlField(u), StateField(y))]
@@ -139,7 +139,7 @@ def cg_solve(problem, y0, config=None):
         direction = ControlField(w)
         dy = None  # release the previous perturbation before the next is allocated
         dy = solve_perturbation(problem, direction)
-        aw = gradient(problem, direction, solve_adjoint(problem, dy, traces)).values
+        aw = gradient(problem, direction, solve_adjoint(problem, dy)).values
         curvature = g.dt * float(np.sum(aw * w))
         if curvature <= 0.0:
             raise CurvatureLossError(iteration=m, curvature=curvature)

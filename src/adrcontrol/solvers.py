@@ -7,7 +7,7 @@ physical nodes j = 0..H,
 
 and one kernel, ``_march``, runs them all: the state, adjoint and perturbation
 sweeps differ only in the coefficients, the boundary closure, the forcing and
-the direction of time.  Row j of a field's ``values`` is node j.
+the direction of time.  Row j of a trajectory's ``values`` is node j.
 
 State trajectory, forward in time, n = 0..N:
 
@@ -31,11 +31,11 @@ mid = 1 + dt*(1 - 2*mu/h^2 - eps/h) and the source dt*k1*y[., n], read
 straight from the state's rows.  The Robin closures are
 p[-1, n] = mu*p[0, n]/(mu - eps*h) and p[H+1, n] = (mu - eps*h)*p[H, n]/mu.
 
-A sweep writes each level of its trajectory exactly once and never reads it
-back.  It may store a subset of its rows: every node is marched and guarded,
-but only the kept nodes of each level are written, so ``solve_adjoint(...,
-nodes)`` returns (N+1) x len(nodes) values, the traces the reduced gradient
-reads, instead of the (N+1) x (H+1) trajectory.
+A sweep writes each level of its output exactly once and never reads it
+back.  The adjoint's output is its M+1 control traces, the only rows the
+reduced gradient reads: every node is marched and guarded, but only the
+control nodes of each level are written, (M+1) x (N+1) values instead of
+the (H+1) x (N+1) trajectory.
 
 Its forcing is added by a per-step callback: for the state the M+1 control
 columns of the step, as lo*(h/mu)*v[0] at node 0, hi*(h/mu)*v[M] at node H
@@ -146,8 +146,8 @@ class StateField(_Field):
 
 
 class AdjointField(_Field):
-    """Adjoint trajectory values[r, n] at times n = 0..N: row r is node r
-    (j = 0..H), or the r-th stored node of a sweep that stores a subset."""
+    """Adjoint traces values[k, n] at times n = 0..N: row k is node j_k,
+    the node carrying control k = 0..M."""
 
 
 def _stencil(problem, advection_sign):
@@ -289,25 +289,23 @@ def solve_state(problem, y0, control):
     return StateField(work.T)
 
 
-def solve_adjoint(problem, state, nodes=None):
+def solve_adjoint(problem, state):
     """March the adjoint backward from the terminal state penalty.
 
     The terminal condition is p[., N] = k2 * y[., N+1]; the running penalty
     k1 * y[., n] acts as a source while stepping from level n to n - 1.
+    Every node is marched and guarded; only the control nodes are stored.
 
     Parameters
     ----------
     problem : DiscreteProblem
     state : StateField
         Trajectory produced by solve_state on the same problem.
-    nodes : sequence of int, optional
-        The nodes whose traces are stored, in order.  Every node is marched
-        and guarded either way; by default every node is stored.
 
     Returns
     -------
     AdjointField
-        Row r is node r, or node nodes[r] when nodes is given.
+        Row k is the trace p[j_k, .] at the node carrying control k.
     """
     g, p = problem.grid, problem.phys
     H, N, h, dt = g.H, g.N, g.h, g.dt
@@ -316,7 +314,7 @@ def solve_adjoint(problem, state, nodes=None):
     y = state.checked((H + 1, N + 2))
     left_gain = mu / (mu - eps * h)
     right_gain = (mu - eps * h) / mu
-    keep = slice(None) if nodes is None else list(nodes)
+    keep = control_indices(g)
 
     # Marching index i is time level N - i; the step from it reads y[., N - i].
     source = y.T[N:0:-1]
@@ -325,9 +323,8 @@ def solve_adjoint(problem, state, nodes=None):
         rows += (dt * p.k1) * source[steps]
 
     terminal = p.k2 * y[:, N + 1]
-    stored = terminal[keep]
-    work = np.empty((N + 1, len(stored)))
-    work[N] = stored
+    work = np.empty((N + 1, g.M + 1))
+    work[N] = terminal[keep]
     stencil = _stencil(problem, 1.0)
     bad = _march(terminal, work[-2::-1], keep, stencil, (left_gain, right_gain), force, GUARD_BLOCK)
     if bad is not None:

@@ -4,6 +4,7 @@ import pytest
 from adrcontrol import (
     AdjointField,
     ControlField,
+    StateField,
     control_indices,
     cost,
     gradient,
@@ -140,28 +141,28 @@ class TestInnerProduct:
 class TestGradient:
     def test_zero_inputs_give_zero(self):
         p = make_problem(N=8)
-        g = gradient(p, ControlField.zeros(p.grid), AdjointField(np.zeros((11, 9))))
+        g = gradient(p, ControlField.zeros(p.grid), AdjointField(np.zeros((3, 9))))
         assert np.all(g.values == 0.0)
 
     def test_combines_weighted_control_and_traces(self):
         p = make_problem(N=4, H=10, M=2, k0=3.0)
         v = ControlField(np.ones((3, 5)))
-        adj = AdjointField(np.full((11, 5), 2.0))
+        adj = AdjointField(np.full((3, 5), 2.0))
         g = gradient(p, v, adj)
         assert np.array_equal(g.values, np.full((3, 5), 5.0))
 
     def test_reads_traces_at_control_nodes(self):
-        p = make_problem(N=3, H=10, M=2)
-        adj = np.zeros((11, 4))
-        adj[0, :] = 1.0   # node 0
-        adj[5, :] = 7.0   # node 5
-        adj[10, :] = -2.0 # node 10
-        adj[3, :] = 99.0  # not a control node; must be ignored
-        g = gradient(p, ControlField.zeros(p.grid), AdjointField(adj))
+        # At the final time the adjoint is k2 times the terminal state, so
+        # the gradient's last column is k2*y[j_k, N+1] at j_k = 0, 5, 10.
+        p = make_problem(N=3, H=10, M=2, k2=2.0)
+        y = np.zeros((11, 5))
+        y[0, -1] = 1.0   # node 0
+        y[5, -1] = 7.0   # node 5
+        y[10, -1] = -2.0 # node 10
+        y[3, -1] = 99.0  # not a control node; must be ignored
+        g = gradient(p, ControlField.zeros(p.grid), solve_adjoint(p, StateField(y)))
         assert control_indices(p.grid) == [0, 5, 10]
-        assert np.array_equal(g.values[0], np.full(4, 1.0))
-        assert np.array_equal(g.values[1], np.full(4, 7.0))
-        assert np.array_equal(g.values[2], np.full(4, -2.0))
+        assert np.array_equal(g.values[:, -1], [2.0, 14.0, -4.0])
 
     def test_affine_in_both_arguments(self):
         # integer-valued data keeps every operation exact in floats
@@ -169,22 +170,25 @@ class TestGradient:
         rng = np.random.default_rng(40)
         v1 = ControlField(rng.integers(-5, 6, size=(3, 7)).astype(float))
         v2 = ControlField(rng.integers(-5, 6, size=(3, 7)).astype(float))
-        a1 = AdjointField(rng.integers(-5, 6, size=(5, 7)).astype(float))
-        a2 = AdjointField(rng.integers(-5, 6, size=(5, 7)).astype(float))
+        a1 = AdjointField(rng.integers(-5, 6, size=(3, 7)).astype(float))
+        a2 = AdjointField(rng.integers(-5, 6, size=(3, 7)).astype(float))
         lhs = gradient(p, ControlField(v1.values + v2.values), AdjointField(a1.values + a2.values))
         rhs = gradient(p, v1, a1).values + gradient(p, v2, a2).values
         assert np.array_equal(lhs.values, rhs)
 
     @pytest.mark.parametrize("H, M", [(10, 2), (4, 4)], ids=["traces", "H=M"])
     def test_traces_adjoint_gives_the_full_adjoints_gradient(self, H, M):
-        p = make_problem(N=70, H=H, M=M, eps=-0.2)
+        # The full adjoint is the traces of the same physics with M = H; the
+        # gradient reads it at the control nodes j_k = k*H/M only.
+        p = make_problem(N=70, H=H, M=M, eps=-0.2, k0=0.3)
         rng = np.random.default_rng(H)
         v = ControlField(rng.standard_normal((M + 1, 71)))
         y = solve_state(p, rng.standard_normal(H + 1), v)
-        traces = solve_adjoint(p, y, control_indices(p.grid))
-        assert traces.values.shape == (M + 1, 71)
-        full = solve_adjoint(p, y)
-        assert gradient(p, v, traces).values.tobytes() == gradient(p, v, full).values.tobytes()
+        full = solve_adjoint(make_problem(N=70, H=H, M=H, eps=-0.2, k0=0.3), y).values
+        assert full.shape == (H + 1, 71)
+        assert control_indices(p.grid) == list(range(0, H + 1, H // M))
+        expected = 0.3 * v.values + full[control_indices(p.grid)]
+        assert gradient(p, v, solve_adjoint(p, y)).values.tobytes() == expected.tobytes()
 
     def test_rejects_mismatched_adjoint(self):
         p = make_problem(N=6)
@@ -192,7 +196,8 @@ class TestGradient:
             gradient(p, ControlField.zeros(p.grid), AdjointField(np.zeros((11, 5))))
         with pytest.raises(ValueError):
             gradient(p, ControlField(np.zeros((3, 6))), AdjointField(np.zeros((11, 7))))
-        for rows, columns in [(3, 6), (4, 7)]:  # traces of the wrong length; neither H+1 nor M+1 rows
+        # Traces of the wrong length, the wrong count, and H+1 rows with H != M.
+        for rows, columns in [(3, 6), (4, 7), (11, 7)]:
             with pytest.raises(ValueError):
                 gradient(p, ControlField.zeros(p.grid), AdjointField(np.zeros((rows, columns))))
 

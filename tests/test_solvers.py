@@ -86,11 +86,19 @@ def boundary_update_defect(lo, mid, hi, left_ghost, x, right_ghost, nxt, source=
     )
 
 
-def unstable_problem(N=2503):
+def unstable_problem(N=2503, M=2):
     # cfl ratio near 2 amplifies the highest mode by about 3 per step
-    p = DiscreteProblem.create(PhysicalConfig(mu=1.0, eps=0.1, T=N / 2503), N=N, H=50, M=2)
+    p = DiscreteProblem.create(PhysicalConfig(mu=1.0, eps=0.1, T=N / 2503), N=N, H=50, M=M)
     assert cfl_ratio(p) > 1.9
     return p
+
+
+def every_node(problem):
+    """The problem with a control at every node, M = H, whose adjoint traces
+    are the whole adjoint trajectory.  The adjoint march has no control term,
+    so its rows control_indices(problem.grid) are problem's own traces."""
+    g = problem.grid
+    return DiscreteProblem.create(problem.phys, N=g.N, H=g.H, M=g.H)
 
 
 def blow_up_step(solve, *args):
@@ -255,6 +263,9 @@ class TestSolveAdjoint:
         p = make_problem(N=20)
         y = solve_state(p, np.zeros(11), ControlField.zeros(p.grid))
         q = solve_adjoint(p, y)
+        assert q.values.shape == (3, 21)
+        assert np.all(q.values == 0.0)
+        q = solve_adjoint(every_node(p), y)
         assert q.values.shape == (11, 21)
         assert np.all(q.values == 0.0)
 
@@ -271,7 +282,7 @@ class TestSolveAdjoint:
         p = make_problem(mu=0.2, eps=0.1, N=60, H=10, M=2)
         rng = np.random.default_rng(8)
         y = solve_state(p, rng.standard_normal(11), random_controls(p.grid, rng))
-        q = solve_adjoint(p, y).values
+        q = solve_adjoint(every_node(p), y).values
         left_gain = 0.2 / 0.19
         right_gain = 0.19 / 0.2
         assert left_gain == pytest.approx(1.0526315789473684, rel=1e-15)
@@ -321,44 +332,44 @@ class TestSolveAdjoint:
 
 @st.composite
 def adjoint_cases(draw):
-    """(problem, state, nodes) on a small stable grid whose adjoint marches
-    a level count near a multiple of GUARD_BLOCK."""
+    """(problem, state) on a small stable grid, M any divisor of H, whose
+    adjoint marches a level count near a multiple of GUARD_BLOCK."""
     H = draw(st.integers(1, 12))
+    M = draw(st.sampled_from([m for m in range(1, H + 1) if H % m == 0]))
     N = max(1, GUARD_BLOCK * draw(st.integers(0, 3)) + draw(st.integers(-2, 2)))
     mu, eps, h = 0.1, draw(st.floats(-0.5, 0.5)), 1.0 / H
     if abs(mu - eps * h) <= 0.01:  # keep clear of the refused mu = eps*h
         eps = -eps
     T = draw(st.floats(0.05, 1.0)) * N / (2.0 * mu / h**2 + abs(eps) / h)  # stability ratio 0.05..1
-    p = make_problem(T=T, mu=mu, eps=eps, N=N, H=H, M=1, k1=0.7, k2=1.3)
+    p = make_problem(T=T, mu=mu, eps=eps, N=N, H=H, M=M, k1=0.7, k2=1.3)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    state = StateField(rng.standard_normal((H + 1, N + 2)))
-    nodes = draw(st.lists(st.integers(0, H), min_size=2, max_size=H + 3))
-    return p, state, nodes
+    return p, StateField(rng.standard_normal((H + 1, N + 2)))
 
 
 class TestStoredNodes:
-    """solve_adjoint with nodes stores exactly those rows of the full sweep."""
+    """solve_adjoint stores exactly the control rows of the M = H sweep."""
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(adjoint_cases())
     def test_rows_are_the_full_trajectorys_bitwise(self, case):
-        p, state, nodes = case
-        full = solve_adjoint(p, state).values
-        stored = solve_adjoint(p, state, nodes).values
-        assert stored.shape == (len(nodes), p.grid.N + 1)
-        assert stored.tobytes() == full[nodes].tobytes()
+        p, state = case
+        stored = solve_adjoint(p, state).values
+        full = solve_adjoint(every_node(p), state).values
+        assert stored.shape == (p.grid.M + 1, p.grid.N + 1)
+        assert full.shape == (p.grid.H + 1, p.grid.N + 1)
+        assert stored.tobytes() == full[control_indices(p.grid)].tobytes()
 
     def test_blow_up_at_an_unstored_node_reports_the_same_step(self):
-        # Only nodes 0 and 50 are stored.  The terminal data sit in between,
-        # and at the step the guard fires those two nodes are still about
-        # 3e148, so only the unstored nodes can trip it; the march of several
-        # blocks redoes itself as one block.
-        p = unstable_problem()
+        # With M = 1 only nodes 0 and 50 are stored.  The terminal data sit
+        # in between, and at the step the guard fires those two nodes are
+        # still about 3e148, so only the unstored nodes can trip it; the
+        # march of several blocks redoes itself as one block.
+        p = unstable_problem(M=1)
         values = np.zeros((p.grid.H + 1, p.grid.N + 2))
         values[20:31, -1] = 0.3
         step = blow_up_step(solve_adjoint, p, StateField(values))
         assert p.grid.N - step > GUARD_BLOCK
-        assert step == blow_up_step(solve_adjoint, p, StateField(values), [0, p.grid.H])
+        assert step == blow_up_step(solve_adjoint, every_node(p), StateField(values))
 
 
 class TestKernelAgainstLoopReference:
@@ -378,9 +389,10 @@ class TestKernelAgainstLoopReference:
         y_ref = reference_state(p, y0, v.values)
         assert np.abs(y.values - y_ref).max() <= self.TOL * np.abs(y_ref).max()
 
-        q = solve_adjoint(p, y)
+        q = solve_adjoint(every_node(p), y).values
         q_ref = reference_adjoint(p, y.values)
-        assert np.abs(q.values - q_ref).max() <= self.TOL * np.abs(q_ref).max()
+        assert np.abs(q - q_ref).max() <= self.TOL * np.abs(q_ref).max()
+        assert solve_adjoint(p, y).values.tobytes() == q[control_indices(g)].tobytes()
 
     @pytest.mark.parametrize("eps", [0.3, -0.2])
     def test_state_and_adjoint_match_plain_loops(self, eps):
@@ -444,7 +456,7 @@ class TestKernelAgainstLoopReference:
         crossed = longer.grid.N - blow_up_step(reference_adjoint, longer, values)
         assert levels < crossed < levels + GUARD_BLOCK - 5
         p = unstable_problem(N=levels)
-        q = solve_adjoint(p, StateField(values[:, -(p.grid.N + 2) :])).values
+        q = solve_adjoint(every_node(p), StateField(values[:, -(p.grid.N + 2) :])).values
         q_ref = reference_adjoint(p, values[:, -(p.grid.N + 2) :])
         assert np.abs(q - q_ref).max() <= self.TOL * np.abs(q_ref).max()
         assert marches == [GUARD_BLOCK, GUARD_BLOCK]  # neither sweep reran
@@ -475,29 +487,21 @@ class TestCarryPower:
 
 
 class TestPeakMemory:
-    """A sweep allocates little beyond the trajectory it returns."""
-
-    LIMIT = 1.15  # peak bytes traced over the returned trajectory's bytes
+    """A sweep allocates little beyond what it returns."""
 
     def test_state_and_adjoint_sweeps(self):
+        # The state sweep returns a trajectory; the adjoint sweep returns
+        # M+1 traces and stores no trajectory.  The first sweep of a kind
+        # also computes its cached carry power (about 0.04 of a trajectory
+        # here), so the traced adjoint sweep is the second.
         p = default_problem()
         g = p.grid
         rng = np.random.default_rng(0)
         v = random_controls(g, rng)
         y, peak = traced_peak(solve_state, p, rng.standard_normal(g.H + 1), v)
-        assert peak <= self.LIMIT * y.values.nbytes
+        assert peak <= 1.15 * y.values.nbytes
+        solve_adjoint(p, y)
         q, peak = traced_peak(solve_adjoint, p, y)
-        assert peak <= self.LIMIT * q.values.nbytes
-
-    def test_adjoint_traces_store_no_trajectory(self):
-        # A sweep storing every node peaks at 1.06 of a trajectory.  The
-        # first sweep of a kind also computes its cached carry power (about
-        # 0.04 of a trajectory here), so the traced sweep is the second.
-        p = default_problem()
-        g = p.grid
-        y = solve_state(p, np.random.default_rng(1).standard_normal(g.H + 1), ControlField.zeros(g))
-        solve_adjoint(p, y, control_indices(g))
-        q, peak = traced_peak(solve_adjoint, p, y, control_indices(g))
         assert q.values.shape == (g.M + 1, g.N + 1)
         assert peak <= 0.15 * (g.H + 1) * (g.N + 1) * 8
 

@@ -489,17 +489,27 @@ class TestCarryPower:
 class TestPeakMemory:
     """A sweep allocates little beyond what it returns."""
 
+    LIMIT = 1.15  # peak bytes traced over the returned trajectory's bytes
+
     def test_state_and_adjoint_sweeps(self):
-        # The state sweep returns a trajectory; the adjoint sweep returns
-        # M+1 traces and stores no trajectory.  The first sweep of a kind
-        # also computes its cached carry power (about 0.04 of a trajectory
-        # here), so the traced adjoint sweep is the second.
+        # With M = H the adjoint's traces are the whole adjoint trajectory.
         p = default_problem()
         g = p.grid
         rng = np.random.default_rng(0)
         v = random_controls(g, rng)
         y, peak = traced_peak(solve_state, p, rng.standard_normal(g.H + 1), v)
-        assert peak <= 1.15 * y.values.nbytes
+        assert peak <= self.LIMIT * y.values.nbytes
+        q, peak = traced_peak(solve_adjoint, every_node(p), y)
+        assert q.values.shape == (g.H + 1, g.N + 1)
+        assert peak <= self.LIMIT * q.values.nbytes
+
+    def test_adjoint_traces_store_no_trajectory(self):
+        # A sweep storing every node peaks at 1.06 of a trajectory.  The
+        # first sweep of a kind also computes its cached carry power (about
+        # 0.04 of a trajectory here), so the traced sweep is the second.
+        p = default_problem()
+        g = p.grid
+        y = solve_state(p, np.random.default_rng(1).standard_normal(g.H + 1), ControlField.zeros(g))
         solve_adjoint(p, y)
         q, peak = traced_peak(solve_adjoint, p, y)
         assert q.values.shape == (g.M + 1, g.N + 1)

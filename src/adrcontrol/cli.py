@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 from .discretization import (
@@ -48,13 +49,13 @@ DEFAULT_CONTROL_COUNTS = (2, 4, 10)
 
 def _add_problem_args(parser):
     g = parser.add_argument_group("problem")
-    g.add_argument("--L", type=float, default=1.0, help="domain length (default 1)")
-    g.add_argument("--T", type=float, default=1.0, help="time horizon (default 1)")
-    g.add_argument("--mu", type=float, default=0.1, help="diffusion coefficient (default 0.1)")
-    g.add_argument("--eps", type=float, default=0.1, help="advection speed (default 0.1)")
-    g.add_argument("--k0", type=float, default=1.0, help="control cost weight (default 1)")
-    g.add_argument("--k1", type=float, default=1.0, help="running state weight (default 1)")
-    g.add_argument("--k2", type=float, default=1.0, help="terminal state weight (default 1)")
+    g.add_argument("--L", type=float, help="domain length (default %(default)s)")
+    g.add_argument("--T", type=float, help="time horizon (default %(default)s)")
+    g.add_argument("--mu", type=float, help="diffusion coefficient (default %(default)s)")
+    g.add_argument("--eps", type=float, help="advection speed (default %(default)s)")
+    g.add_argument("--k0", type=float, help="control cost weight (default %(default)s)")
+    g.add_argument("--k1", type=float, help="running state weight (default %(default)s)")
+    g.add_argument("--k2", type=float, help="terminal state weight (default %(default)s)")
     g.add_argument("--H", type=int, default=100, help="spatial cells (default 100)")
     g.add_argument(
         "--N",
@@ -70,6 +71,7 @@ def _add_problem_args(parser):
         metavar="M",
         help="control count, repeatable; M+1 signals each (default 2, 4, 10)",
     )
+    parser.set_defaults(**asdict(PhysicalConfig()))
 
 
 def build_parser():
@@ -82,7 +84,7 @@ def build_parser():
     run = sub.add_parser("run", help="solve one experiment across control counts")
     _add_problem_args(run)
     run.add_argument("--ic", choices=("pulse", "sine"), default="pulse", help="initial condition")
-    run.add_argument("--amplitude", type=float, default=10.0, help="profile amplitude (default 10)")
+    run.add_argument("--amplitude", type=float, help="profile amplitude (default %(default)s)")
     run.add_argument(
         "--frequency", type=int, default=5, help="sine half-waves over the domain (default 5)"
     )
@@ -93,16 +95,22 @@ def build_parser():
         metavar="A,B",
         help="pulse support as two comma-separated abscissae (default 0.4L,0.6L)",
     )
-    run.add_argument("--tol", type=float, default=1e-3, help="relative gradient tolerance")
-    run.add_argument("--max-iter", type=int, default=None, help="CG iteration cap")
+    run.add_argument("--tol", type=float, help="relative gradient tolerance (default %(default)s)")
+    run.add_argument("--max-iter", type=int, help="CG iteration cap")
     run.add_argument("--out", type=Path, required=True, help="output directory")
+    run.set_defaults(amplitude=InitialCondition.amplitude, **asdict(CGConfig()))
 
     demo = sub.add_parser("demo-instability", help="explicit Euler on the reaction ODE")
-    demo.add_argument("--C", type=float, default=1.0, help="constant supply rate (default 1)")
-    demo.add_argument("--lambda", type=float, default=1.0, dest="lam", help="reaction coefficient")
-    demo.add_argument("--dphi", type=float, default=0.1, help="offset from the steady state")
-    demo.add_argument("--dt", type=float, default=1.0, help="Euler step (default 1)")
-    demo.add_argument("--steps", type=int, default=12, help="number of Euler steps (default 12)")
+    demo.add_argument("--C", type=float, help="constant supply rate (default %(default)s)")
+    demo.add_argument(
+        "--lambda", type=float, dest="lam", help="reaction coefficient (default %(default)s)"
+    )
+    demo.add_argument(
+        "--dphi", type=float, help="offset from the steady state (default %(default)s)"
+    )
+    demo.add_argument("--dt", type=float, help="Euler step (default %(default)s)")
+    demo.add_argument("--steps", type=int, help="number of Euler steps (default %(default)s)")
+    demo.set_defaults(**asdict(ReactionParams()))
 
     check = sub.add_parser("check", help="validate grid settings and report stability")
     _add_problem_args(check)

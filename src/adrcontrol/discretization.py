@@ -98,13 +98,6 @@ class GridConfig:
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ConfigurationError(f"{name} must be a positive finite number")
 
-    @classmethod
-    def from_extents(cls, L, T, N, H, M):
-        """Build a grid whose steps exactly tile (0, L) x (0, T)."""
-        if not (isinstance(N, int) and isinstance(H, int)) or N < 1 or H < 1:
-            raise ConfigurationError("N and H must be integers >= 1")
-        return cls(N=N, H=H, M=M, dt=T / N, h=L / H)
-
 
 @dataclass(frozen=True)
 class DiscreteProblem:
@@ -128,7 +121,10 @@ class DiscreteProblem:
 
     @classmethod
     def create(cls, phys, N, H, M):
-        return cls(phys=phys, grid=GridConfig.from_extents(phys.L, phys.T, N, H, M))
+        """Pair phys with the grid whose steps exactly tile (0, L) x (0, T)."""
+        if not (isinstance(N, int) and isinstance(H, int)) or N < 1 or H < 1:
+            raise ConfigurationError("N and H must be integers >= 1")
+        return cls(phys=phys, grid=GridConfig(N=N, H=H, M=M, dt=phys.T / N, h=phys.L / H))
 
     @classmethod
     def for_counts(cls, phys, N, H, counts):

@@ -10,11 +10,9 @@ class SolverBlowUpError(RuntimeError):
 
     status = "blow_up"
 
-    def __init__(self, step, message=None):
+    def __init__(self, step):
         self.step = step
-        if message is None:
-            message = f"solution magnitude exceeded the overflow guard at time step {step}"
-        super().__init__(message)
+        super().__init__(f"solution magnitude exceeded the overflow guard at time step {step}")
 
 
 class CurvatureLossError(RuntimeError):

@@ -328,19 +328,8 @@ def write_convergence_csv(path, report):
             )
 
 
-_SUMMARY_KEYS = (
-    "M",
-    "iterations",
-    "status",
-    "J_total",
-    "control_energy",
-    "terminal_norm",
-    "uncontrolled_terminal_norm",
-    "cfl_ratio",
-)
-
-
 def write_summary_txt(path, row):
+    """One key=value line per entry of ``values``, in its order; the key set is frozen."""
     optional = {
         "J_total": None if row.cost is None else row.cost.total,
         "control_energy": row.control_energy,
@@ -355,8 +344,8 @@ def write_summary_txt(path, row):
         "cfl_ratio": _fmt(row.cfl_ratio),
     }
     with open(path, "w", newline="") as fh:
-        for key in _SUMMARY_KEYS:
-            fh.write(f"{key}={values[key]}\n")
+        for key, value in values.items():
+            fh.write(f"{key}={value}\n")
 
 
 def _run_count(spec, problem, y0, shared):

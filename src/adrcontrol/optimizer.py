@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, CurvatureLossError
-from .objective import cost, gradient
+from .objective import cost, gradient, inner_product
 from .solvers import ControlField, StateField, solve_adjoint, solve_perturbation, solve_state
 
 __all__ = ["CGConfig", "CGReport", "cg_solve",
@@ -123,41 +123,42 @@ def cg_solve(problem, y0, config=None):
     max_iter = resolve_max_iter(config, g)
 
     u = np.zeros((g.M + 1, g.N + 1))
-    y = solve_state(problem, y0, ControlField(u)).values
-    grad = gradient(problem, ControlField(u), solve_adjoint(problem, StateField(y))).values
+    state = solve_state(problem, y0, ControlField(u))
+    y = state.values  # updated in place by linearity
+    grad = gradient(problem, ControlField(u), solve_adjoint(problem, state))
 
-    gg0 = g.dt * float(np.sum(grad * grad))
-    cost_history = [cost(problem, ControlField(u), StateField(y))]
+    gg0 = inner_product(g, grad, grad)
+    cost_history = [cost(problem, ControlField(u), state)]
     # A vanishing initial gradient makes u = 0 exact: the loop runs zero times.
     if gg0 == 0.0:
         status, iterations, ratio_history = STATUS_TRIVIAL, 0, [0.0]
     else:
         status, iterations, ratio_history = STATUS_MAX_ITER, max_iter, [1.0]
-    w = grad.copy()
+    w = grad.values.copy()
     gg = gg0
     for m in range(iterations):
         direction = ControlField(w)
         dy = None  # release the previous perturbation before the next is allocated
         dy = solve_perturbation(problem, direction)
-        aw = gradient(problem, direction, solve_adjoint(problem, dy)).values
-        curvature = g.dt * float(np.sum(aw * w))
+        aw = gradient(problem, direction, solve_adjoint(problem, dy))
+        curvature = inner_product(g, aw, direction)
         if curvature <= 0.0:
             raise CurvatureLossError(iteration=m, curvature=curvature)
         rho = gg / curvature
 
         u = u - rho * w
         y -= np.multiply(dy.values, rho, out=dy.values)  # dy is dropped next iteration
-        grad = grad - rho * aw
-        gg_next = g.dt * float(np.sum(grad * grad))
+        grad = ControlField(grad.values - rho * aw.values)
+        gg_next = inner_product(g, grad, grad)
 
-        cost_history.append(cost(problem, ControlField(u), StateField(y)))
+        cost_history.append(cost(problem, ControlField(u), state))
         ratio = gg_next / gg0
         ratio_history.append(ratio)
         if ratio < config.tol**2:
             status = STATUS_CONVERGED
             iterations = m + 1
             break
-        w = grad + (gg_next / gg) * w
+        w = grad.values + (gg_next / gg) * w
         gg = gg_next
 
     report = CGReport(
@@ -165,6 +166,6 @@ def cg_solve(problem, y0, config=None):
         status=status,
         cost_history=tuple(cost_history),
         grad_ratio_history=tuple(ratio_history),
-        state=StateField(y),
+        state=state,
     )
     return ControlField(u), report

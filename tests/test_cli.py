@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import adrcontrol
-from adrcontrol.cli import main
+from adrcontrol import CGConfig, InitialCondition, PhysicalConfig
+from adrcontrol.cli import build_parser, main
+from adrcontrol.instability import ReactionParams
 
 SRC = str(Path(adrcontrol.__file__).resolve().parent.parent)
 
@@ -26,6 +29,20 @@ def run_args(out, *extra):
         "--out", str(out),
         *extra,
     ]
+
+
+def test_parsed_defaults_are_the_dataclass_defaults():
+    parser = build_parser()
+    runs = [parser.parse_args(["check"]), parser.parse_args(["run", "--out", "x"])]
+    for args in runs:
+        for f in dataclasses.fields(PhysicalConfig):
+            assert getattr(args, f.name) == getattr(PhysicalConfig(), f.name)
+    for f in dataclasses.fields(CGConfig):
+        assert getattr(runs[1], f.name) == getattr(CGConfig(), f.name)
+    assert runs[1].amplitude == InitialCondition.amplitude
+    demo = parser.parse_args(["demo-instability"])
+    for f in dataclasses.fields(ReactionParams):
+        assert getattr(demo, f.name) == getattr(ReactionParams(), f.name)
 
 
 class TestCheck:
@@ -161,6 +178,27 @@ class TestRun:
             "--N", "50", "--M", "2", "--out", str(tmp_path),
         ])
         assert rc == 1
+
+    def test_pulse_with_given_support(self, tmp_path):
+        assert main([
+            "run", "--ic", "pulse", "--support", "0.3,0.7", "--amplitude", "3",
+            "--H", "10", "--N", "50", "--M", "2", "--tol", "1e-2", "--out", str(tmp_path),
+        ]) == 0
+        with open(tmp_path / "pulse_2" / "state.csv") as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        initial = [(int(j), float(x), float(y)) for n, t, j, x, y in rows if n == "0"]
+        assert [j for j, x, y in initial] == list(range(11))
+        inside = [j for j, x, y in initial if 0.3 <= x <= 0.7]
+        assert inside == [3, 4, 5, 6, 7]
+        assert [y for j, x, y in initial] == [3.0 if j in inside else 0.0 for j in range(11)]
+
+    def test_non_numeric_support(self, tmp_path, capsys):
+        rc = main([
+            "run", "--ic", "pulse", "--support", "a,b", "--H", "10",
+            "--N", "50", "--M", "2", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "support must be two numbers" in capsys.readouterr().err
 
     def test_non_finite_amplitude(self, tmp_path):
         assert main(run_args(tmp_path, "--amplitude", "nan")) == 1

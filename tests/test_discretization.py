@@ -52,11 +52,6 @@ class TestPhysicalConfig:
 
 
 class TestGridConfig:
-    def test_from_extents(self):
-        g = GridConfig.from_extents(1.0, 1.0, N=100, H=10, M=2)
-        assert g.dt == 0.01
-        assert g.h == 0.1
-
     @pytest.mark.parametrize("kwargs", [{"N": 0}, {"H": 0}, {"M": 0}, {"N": -3}])
     def test_rejects_nonpositive_sizes(self, kwargs):
         base = {"N": 10, "H": 10, "M": 2, "dt": 0.1, "h": 0.1}
@@ -66,7 +61,7 @@ class TestGridConfig:
 
     def test_rejects_indivisible_control_count(self):
         with pytest.raises(ConfigurationError):
-            GridConfig.from_extents(1.0, 1.0, N=10, H=10, M=3)
+            DiscreteProblem.create(PhysicalConfig(), N=10, H=10, M=3)
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ConfigurationError):
@@ -76,6 +71,24 @@ class TestGridConfig:
 
 
 class TestDiscreteProblem:
+    def test_create_steps_tile_the_extents(self):
+        g = DiscreteProblem.create(PhysicalConfig(), N=100, H=10, M=2).grid
+        assert g.dt == 0.01
+        assert g.h == 0.1
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ({"N": 0, "H": 10}, "N and H must be integers >= 1"),
+            ({"N": 10, "H": 0}, "N and H must be integers >= 1"),
+            ({"N": True, "H": 10}, "N must be an integer >= 1"),
+        ],
+        ids=["N=0", "H=0", "N=True"],
+    )
+    def test_create_rejects_bad_sizes(self, sizes, message):
+        with pytest.raises(ConfigurationError, match=message):
+            DiscreteProblem.create(PhysicalConfig(), M=1, **sizes)
+
     def test_consistent_steps_required(self):
         phys = PhysicalConfig()
         with pytest.raises(ConfigurationError):

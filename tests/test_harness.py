@@ -25,9 +25,21 @@ from adrcontrol import (
     solve_state,
 )
 from adrcontrol import harness
-from adrcontrol.harness import _SUMMARY_KEYS, write_controls_csv, write_state_csv
+from adrcontrol.harness import write_controls_csv, write_state_csv
 from adrcontrol.solvers import StateField
 from conftest import default_problem, traced_peak
+
+# summary.txt key set and order, frozen by the output format.
+SUMMARY_KEYS = [
+    "M",
+    "iterations",
+    "status",
+    "J_total",
+    "control_energy",
+    "terminal_norm",
+    "uncontrolled_terminal_norm",
+    "cfl_ratio",
+]
 
 
 def small_problem(mu=0.1, eps=0.1, N=50, H=10, M=2, **weights):
@@ -370,7 +382,7 @@ class TestRunExperiment:
             assert float(data[-1][5]) < spec.cg.tol**2
 
             keys, summary = read_summary(run_dir / "summary.txt")
-            assert keys == list(_SUMMARY_KEYS)
+            assert keys == SUMMARY_KEYS
             assert summary["M"] == str(row.M)
             assert summary["status"] == "converged"
             assert int(summary["iterations"]) == row.iterations
@@ -456,7 +468,7 @@ class TestRunExperiment:
             assert row.error == str(uncontrolled.value)
             assert row.error.endswith(f"time step {uncontrolled.value.step}")
             keys, summary = read_summary(row.run_dir / "summary.txt")
-            assert keys == list(_SUMMARY_KEYS)
+            assert keys == SUMMARY_KEYS
             assert summary["status"] == SolverBlowUpError.status
             assert summary["J_total"] == "nan"
             assert summary["uncontrolled_terminal_norm"] == "nan"
@@ -493,7 +505,7 @@ class TestRunExperiment:
         assert blown.cost is None and blown.terminal_norm is None and blown.report is None
         assert blown.uncontrolled_terminal_norm == converged.uncontrolled_terminal_norm
         keys, summary = read_summary(blown.run_dir / "summary.txt")
-        assert keys == list(_SUMMARY_KEYS)
+        assert keys == SUMMARY_KEYS
         assert summary["status"] == status
         assert summary["J_total"] == "nan"
         assert summary["uncontrolled_terminal_norm"] == _fmt(converged.uncontrolled_terminal_norm)

@@ -196,6 +196,13 @@ class TestSolveState:
         with pytest.raises(ValueError):
             solve_state(p, np.zeros(11), ControlField(np.zeros((3, 50))))
 
+    def test_rejects_non_finite_initial_state(self):
+        p = make_problem()
+        y0 = np.zeros(11)
+        y0[4] = np.nan
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            solve_state(p, y0, ControlField.zeros(p.grid))
+
     def test_blow_up_raises_with_step_index(self):
         # The guard is checked once per block of steps.  These amplitudes
         # blow up on the last level of a block, on the first level of the

@@ -1,11 +1,12 @@
 """Adjoint-based optimal control of a 1D advection-diffusion-reaction equation.
 
 The package discretizes the controlled PDE with an explicit scheme, forms the
-exact gradient of the discrete cost through an adjoint sweep, and minimizes
-over boundary-flux and interior point controls with conjugate gradients.  An
-experiment harness runs benchmark initial conditions across control counts
-and writes CSV data; a small companion module demonstrates why the unstable
-reaction term makes uncontrolled explicit integration blow up.
+gradient of the discrete cost through an adjoint sweep (exact at eps = 0, off
+by O(h) at eps != 0), and minimizes over boundary-flux and interior point
+controls with conjugate gradients.  An experiment harness runs benchmark
+initial conditions across control counts and writes CSV data; a small
+companion module demonstrates why the unstable reaction term makes
+uncontrolled explicit integration blow up.
 """
 
 from .discretization import (

@@ -182,12 +182,6 @@ _DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(48) 
 _spaced = np.zeros((10000, 8), np.uint8)
 _spaced[:, 0::2] = _DIGITS
 _DIGIT_WORDS = _spaced.view(np.uint64).ravel()  # four digits, each followed by a NUL
-_z = (_DIGITS == 48).T.astype(np.int8)
-_TRAILING_ZEROS = _z[3] * (1 + _z[2] * (1 + _z[1] * (1 + _z[0])))
-# Row k: masks for words 0-4 that keep digits 0..k, and the point only before a kept digit.
-_kept = np.clip(2 * np.arange(17)[:, None] + 7 - 8 * np.arange(5), 0, 8)
-_KEEP = np.where(np.arange(8) < _kept[:, :, None], np.uint8(255), np.uint8(0))
-_KEEP = _KEEP.view(np.uint64)[:, :, 0]
 
 
 def _value_templates():
@@ -197,15 +191,12 @@ def _value_templates():
     fixed = (x >= -4) & (x < 17)
     point = np.where(fixed, x, 0)
     text = np.zeros((len(x), _VALUE_BYTES), np.uint8)
-    for e in range(-4, 0):
-        text[e - x[0], 1 : 2 - e] = np.frombuffer(b"0." + b"0" * (-e - 1), np.uint8)
-    sci = np.flatnonzero(~fixed)
-    text[sci, 40] = ord("e")
-    text[sci, 41] = np.where(x[sci] < 0, ord("-"), ord("+"))
-    digits = _DIGITS[np.abs(x[sci])]
-    wide = np.abs(x[sci]) >= 100
-    text[sci, 42:44] = np.where(wide[:, None], digits[:, 1:3], digits[:, 2:4])
-    text[sci[wide], 44] = digits[wide, 3]
+    for row, e in zip(text, x.tolist()):
+        if e < -4 or e > 16:
+            exponent = b"e%+03d" % e
+            row[40 : 40 + len(exponent)] = list(exponent)
+        elif e < 0:
+            row[1 : 2 - e] = list(b"0." + b"0" * (-e - 1))
     dotted = np.flatnonzero((point >= 0) & (point < 16))
     text[dotted, 7 + 2 * point[dotted]] = ord(".")
     text[:, -1] = ord("\n")
@@ -252,15 +243,13 @@ def _value_text(x):
     text = words.view(np.uint8)
     text[:, 6] = lead + 48
     text[:, 0] = np.signbit(x) * np.uint8(ord("-"))
-    # %g strips trailing zeros after the point, and the point if bare.
+    # %g strips trailing zeros after the point, and the point if bare: keep
+    # the slots up to the last nonzero digit or the digit before the point.
     z = np.flatnonzero(groups[3] % 10 == 0)
-    zeros = np.zeros(len(z), np.int8)
-    run = np.ones(len(z), bool)
-    for g in reversed(groups):
-        g = g[z]
-        zeros += run * _TRAILING_ZEROS[g]
-        run &= g == 0
-    words[z, :5] &= _KEEP[np.maximum(16 - zeros, _POINT[X[z]])]
+    body = text[z, 6:40]
+    last = 16 - np.argmax(body[:, -2::-2] != ord("0"), axis=1)
+    body[np.arange(34) > 2 * np.maximum(last, _POINT[X[z]])[:, None]] = 0
+    text[z, 6:40] = body
 
     slow = np.flatnonzero(~trust)
     if len(slow):
@@ -278,20 +267,21 @@ def _text_rows(strings):
 _CHUNK = 1 << 13  # values per block: larger blocks only cost memory
 
 
-def _write_levels(path, header, dt, labels, levels):
-    """Write the line "n,t,<label>,v" for every time level n and label.
+def _write_levels(path, header, grid, nodes, levels):
+    """Write the line "n,t,i,x_j,v" for every time level n and node j = nodes[i].
 
-    ``levels[n]`` holds the values of level n in label order.  Each block of
+    ``levels[n]`` holds the values of level n in node order.  Each block of
     about _CHUNK values is laid out as rows of NUL-padded bytes,
-    "n,t," | "<label>," | _value_text(v), and one translate drops the
+    "n,t," | "i,x_j," | _value_text(v), and one translate drops the
     padding.  Every number reads as ``"%.17g" % v``, which is ``_fmt(v)``.
     """
     levels = np.asarray(levels, dtype=np.float64)
-    n_levels, n_labels = levels.shape
-    heads = _text_rows(["%d,%.17g," % (n, n * dt) for n in range(n_levels)])
-    tails = _text_rows([f"{label}," for label in labels])
+    n_levels, n_nodes = levels.shape
+    x = grid_nodes(grid)
+    heads = _text_rows(["%d,%.17g," % (n, n * grid.dt) for n in range(n_levels)])
+    tails = _text_rows([f"{i},{_fmt(x[j])}," for i, j in enumerate(nodes)])
     hw, tw = heads.shape[1], tails.shape[1]
-    step = max(1, _CHUNK // n_labels)
+    step = max(1, _CHUNK // n_nodes)
     with open(path, "wb") as fh:
         fh.write(header.encode())
         for start in range(0, n_levels, step):
@@ -306,16 +296,12 @@ def _write_levels(path, header, dt, labels, levels):
 
 def write_state_csv(path, problem, state):
     g = problem.grid
-    x = grid_nodes(g)
-    labels = [f"{j},{_fmt(x[j])}" for j in range(g.H + 1)]
-    _write_levels(path, "n,t,j,x,y\n", g.dt, labels, state.values.T)
+    _write_levels(path, "n,t,j,x,y\n", g, range(g.H + 1), state.values.T)
 
 
 def write_controls_csv(path, problem, control):
     g = problem.grid
-    x = grid_nodes(g)
-    labels = [f"{k},{_fmt(x[j])}" for k, j in enumerate(control_indices(g))]
-    _write_levels(path, "n,t,k,x_k,v\n", g.dt, labels, control.values.T)
+    _write_levels(path, "n,t,k,x_k,v\n", g, control_indices(g), control.values.T)
 
 
 def write_convergence_csv(path, report):

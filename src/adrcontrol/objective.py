@@ -7,15 +7,17 @@ The cost is a rectangle-rule quadrature of the continuum objective:
          + (k2*h/2) * sum_j y[j,N+1]^2
 
 with y the state driven by v.  Control increments live in the inner product
-<a, b> = dt * sum_{k,n} a[k,n]*b[k,n], and in that geometry the reduced
-gradient of J has the closed form
+<a, b> = dt * sum_{k,n} a[k,n]*b[k,n], and in that geometry gradient returns
 
     grad[k, n] = k0*v[k, n] + p[j_k, n]
 
 where p is the adjoint trajectory and j_k the node carrying control k, so
-only the adjoint's M+1 traces p[j_k, .] enter.  The discrete point sources
-carry a 1/h factor in the state scheme, which is what makes the interior
-trace components land on the same h-free formula as the boundary ones.
+only the adjoint's M+1 traces p[j_k, .] enter.  This is the exact reduced
+gradient at eps = 0; at eps != 0 the adjoint's advection difference is not
+the transpose of the state's, and it is off by O(h).  The discrete point
+sources carry a 1/h factor in the state scheme, which is what makes the
+interior trace components land on the same h-free formula as the boundary
+ones.
 """
 
 from __future__ import annotations

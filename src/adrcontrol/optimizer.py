@@ -1,9 +1,10 @@
 """Conjugate gradient minimization of the reduced control cost.
 
-The reduced objective is an affine-quadratic in the control field, so the
-classical CG recurrences apply verbatim once matrix-vector products are read
-as "run the perturbation solver, then its adjoint".  One iteration costs one
-forward and one backward sweep.
+The reduced objective is an affine-quadratic in the control field.  At
+eps = 0 the classical CG recurrences apply verbatim once matrix-vector
+products are read as "run the perturbation solver, then its adjoint"; at
+eps != 0 that A is not symmetric (relative asymmetry 5.3e-3 at H = 100,
+M = 4, eps = 0.1).  One iteration costs one forward and one backward sweep.
 
 Starting from u = 0 with gradient g and direction w = g:
 

@@ -135,6 +135,18 @@ class TestPeakMemory:
         assert peak <= 2.6 * report.state.values.nbytes
 
 
+class TestIterationPins:
+    # Iteration counts do not drift with the host, unlike times: a change
+    # that slows CG's convergence shows here.  Measured: 18/18/22.
+    @pytest.mark.parametrize("M, bound", [(2, 18), (4, 18), (10, 22)])
+    def test_sine5_at_tol_1e_8(self, M, bound):
+        p = default_problem(M=M)
+        y0 = make_initial_condition(InitialCondition("sine", frequency=5), p.grid)
+        _, report = cg_solve(p, y0, CGConfig(tol=1e-8))
+        assert report.status == STATUS_CONVERGED
+        assert report.iterations <= bound
+
+
 class TestTinySymmetricInstance:
     def test_terminates_within_dimension_plus_slack(self):
         p = tiny_symmetric_problem()

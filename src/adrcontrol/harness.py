@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -101,11 +101,12 @@ def make_initial_condition(ic, grid):
 class ExperimentSpec:
     """One initial condition solved once per control count.
 
-    ``problem`` fixes the physics and the (N, H) grid; its own M is not used,
-    each run solves the problem DiscreteProblem.for_counts builds for one
-    entry of control_counts.  That function's rules (no empty list, no count
-    the grid refuses, no repeat) are checked here.  Each count M yields M+1
-    control signals.
+    ``problem`` fixes the physics and the (N, H) grid; its own M is not used.
+    ``problems``, not an argument, keeps what DiscreteProblem.for_counts
+    builds here, one problem per entry of control_counts in order, and
+    run_experiment solves them.  That function's rules (no empty list, no
+    count the grid refuses, no repeat) are checked here.  Each count M
+    yields M+1 control signals.
     """
 
     problem: DiscreteProblem
@@ -113,11 +114,13 @@ class ExperimentSpec:
     cg: CGConfig
     control_counts: tuple
     output_dir: Path
+    problems: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         g = self.problem.grid
         problems = DiscreteProblem.for_counts(self.problem.phys, g.N, g.H, self.control_counts)
+        object.__setattr__(self, "problems", problems)
         object.__setattr__(self, "control_counts", tuple(q.grid.M for q in problems))
 
 
@@ -125,15 +128,17 @@ class ExperimentSpec:
 class ExperimentSummary:
     """Result row of one run; metric fields stay None after a solver failure.
 
-    ``report`` is cg_solve's report with state=None: run_experiment writes
-    the trajectory to state.csv and keeps no copy.
+    ``base_key`` is (phys, N, H, ic), the values the counts of one
+    experiment share, and compare_controls compares rows by it.  ``report``
+    is cg_solve's report with state=None: run_experiment writes the
+    trajectory to state.csv and keeps no copy.
     """
 
     M: int
     status: str
     iterations: int
     cfl_ratio: float
-    base_key: str
+    base_key: tuple
     cost: Optional[CostBreakdown] = None
     control_energy: Optional[float] = None
     terminal_norm: Optional[float] = None
@@ -142,16 +147,6 @@ class ExperimentSummary:
     control: Optional[ControlField] = None
     report: Optional[CGReport] = None
     error: Optional[str] = None
-
-
-def _base_key(phys, grid, ic):
-    """Identity of everything an experiment shares across control counts."""
-    return (
-        f"ic={ic.kind};amplitude={_fmt(ic.amplitude)};frequency={ic.frequency};"
-        f"support={ic.support};L={_fmt(phys.L)};T={_fmt(phys.T)};mu={_fmt(phys.mu)};"
-        f"eps={_fmt(phys.eps)};k0={_fmt(phys.k0)};k1={_fmt(phys.k1)};k2={_fmt(phys.k2)};"
-        f"H={grid.H};N={grid.N}"
-    )
 
 
 def _terminal_norm(grid, terminal):
@@ -373,7 +368,6 @@ def run_experiment(spec):
     exception's ``status``), and does not abort the remaining runs.  At
     most one count's trajectories are held at a time.
     """
-    phys = spec.problem.phys
     base_grid = spec.problem.grid
     ratio = check_stability(spec.problem)
     y0 = make_initial_condition(spec.ic, base_grid)
@@ -389,11 +383,10 @@ def run_experiment(spec):
 
     shared = dict(
         cfl_ratio=ratio,
-        base_key=_base_key(phys, base_grid, spec.ic),
+        base_key=(spec.problem.phys, base_grid.N, base_grid.H, spec.ic),
         uncontrolled_terminal_norm=uncontrolled_norm,
     )
-    problems = DiscreteProblem.for_counts(phys, base_grid.N, base_grid.H, spec.control_counts)
-    return [_run_count(spec, problem, y0, shared) for problem in problems]
+    return [_run_count(spec, problem, y0, shared) for problem in spec.problems]
 
 
 @dataclass(frozen=True)
@@ -438,8 +431,9 @@ class ComparisonTable:
 def compare_controls(summaries):
     """Reduce per-run summaries from one experiment to a comparison table.
 
-    Requires at least two comparable rows (same initial condition, physics,
-    and grid; blow-up rows carry no metrics and are rejected).
+    Requires at least two rows with equal ``base_key`` values, wherever
+    they were run (eps 0.0 equals -0.0); rows of failed runs carry no
+    metrics and are rejected.
     """
     if len(summaries) < 2:
         raise ValueError("need at least two runs to compare control counts")

@@ -336,6 +336,24 @@ class TestExperimentSpec:
             small_spec(tmp_path / "out", counts=(2, 5, 2))
         assert not (tmp_path / "out").exists()
 
+    def test_keeps_the_problems_it_checks(self, tmp_path, monkeypatch):
+        # for_counts runs once per experiment: run_experiment solves the
+        # spec's problems, in the order of the counts.
+        calls = []
+        for_counts = DiscreteProblem.for_counts
+
+        def counting_for_counts(*args):
+            calls.append(args)
+            return for_counts(*args)
+
+        monkeypatch.setattr(DiscreteProblem, "for_counts", counting_for_counts)
+        spec = small_spec(tmp_path / "out", counts=(5, 2))
+        assert [q.grid.M for q in spec.problems] == [5, 2]
+        assert all(q.phys == spec.problem.phys for q in spec.problems)
+        assert [row.M for row in run_experiment(spec)] == [5, 2]
+        assert len(calls) == 1
+        assert dataclasses.replace(spec, control_counts=(2,)).problems == spec.problems[1:]
+
 
 class TestRunExperiment:
     def test_rows_files_and_roundtrip(self, tmp_path):
@@ -541,6 +559,35 @@ class TestCompareControls:
         rows = run_experiment(small_spec(tmp_path / "out", counts=(2,)))
         with pytest.raises(ValueError):
             compare_controls(rows)
+
+    def test_equal_configs_in_other_directories_compare(self, tmp_path):
+        rows_a = run_experiment(small_spec(tmp_path / "a"))
+        rows_b = run_experiment(small_spec(tmp_path / "b"))
+        table = compare_controls([rows_a[0], rows_b[1]])
+        assert [r.controls for r in table.rows] == [3, 6]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(eps=0.2),
+            dict(ic=InitialCondition(kind="sine", amplitude=2.0, frequency=1)),
+            dict(N=60),
+        ],
+        ids=["eps", "amplitude", "N"],
+    )
+    def test_runs_differing_in_one_value_rejected(self, tmp_path, change):
+        rows_a = run_experiment(small_spec(tmp_path / "a"))
+        rows_b = run_experiment(small_spec(tmp_path / "b", **change))
+        with pytest.raises(ValueError, match="different experiments"):
+            compare_controls([rows_a[0], rows_b[1]])
+
+    def test_signed_zero_eps_is_one_experiment(self, tmp_path):
+        # eps = 0.0 and -0.0 march the same numbers.
+        rows_a = run_experiment(small_spec(tmp_path / "a", eps=0.0))
+        rows_b = run_experiment(small_spec(tmp_path / "b", eps=-0.0))
+        assert [r.cost for r in rows_a] == [r.cost for r in rows_b]
+        table = compare_controls([rows_a[0], rows_b[1]])
+        assert [r.controls for r in table.rows] == [3, 6]
 
     def test_mixed_experiments_rejected(self, tmp_path):
         rows = run_experiment(small_spec(tmp_path / "a"))

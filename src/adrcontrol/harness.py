@@ -128,7 +128,7 @@ class ExperimentSpec:
 class ExperimentSummary:
     """Result row of one run; metric fields stay None after a solver failure.
 
-    ``base_key`` is (phys, N, H, ic), the values the counts of one
+    ``base_key`` is (phys, N, H, ic, cg), the values the counts of one
     experiment share, and compare_controls compares rows by it.  ``report``
     is cg_solve's report with state=None: run_experiment writes the
     trajectory to state.csv and keeps no copy.
@@ -383,7 +383,7 @@ def run_experiment(spec):
 
     shared = dict(
         cfl_ratio=ratio,
-        base_key=(spec.problem.phys, base_grid.N, base_grid.H, spec.ic),
+        base_key=(spec.problem.phys, base_grid.N, base_grid.H, spec.ic, spec.cg),
         uncontrolled_terminal_norm=uncontrolled_norm,
     )
     return [_run_count(spec, problem, y0, shared) for problem in spec.problems]

@@ -147,9 +147,9 @@ def cg_solve(problem, y0, config=None):
             raise CurvatureLossError(iteration=m, curvature=curvature)
         rho = gg / curvature
 
-        u = u - rho * w
+        u -= rho * w
         y -= np.multiply(dy.values, rho, out=dy.values)  # dy is dropped next iteration
-        grad = ControlField(grad.values - rho * aw.values)
+        np.subtract(grad.values, rho * aw.values, out=grad.values)
         gg_next = inner_product(g, grad, grad)
 
         cost_history.append(cost(problem, ControlField(u), state))
@@ -159,7 +159,8 @@ def cg_solve(problem, y0, config=None):
             status = STATUS_CONVERGED
             iterations = m + 1
             break
-        w = grad.values + (gg_next / gg) * w
+        w *= gg_next / gg
+        w += grad.values
         gg = gg_next
 
     report = CGReport(

@@ -41,23 +41,34 @@ Its forcing is added by a per-step callback: for the state the M+1 control
 columns of the step, as lo*(h/mu)*v[0] at node 0, hi*(h/mu)*v[M] at node H
 (the flux closures' share of the stencil) and dt*v[k]/h at each interior
 control node; for the adjoint dt*k1 times the state's row.  The kernel
-splits the levels into blocks of GUARD_BLOCK and makes two passes:
+splits the levels into blocks of GUARD_BLOCK and marches the blocks side
+by side, one row per block of one contiguous carry array.  A batched step
+is one ``np.correlate`` over the flattened rows; the boundary columns,
+which it mixes with the neighbouring rows, are then recomputed with the
+ghost nodes (index -1 and H+1) set to gain*edge.  The step is linear,
+x -> A x, so the true level s_b before block b is the zero-start end of
+block b-1 plus A^GUARD_BLOCK s_(b-1): the ends are carried through a dense
+(A^T)^GUARD_BLOCK, computed once per stencil, gains and width.  Each block
+is marched once, and what a second pass would add is priced through the
+M+1 control rows:
 
-1. Every block but the last is marched side by side to its end, block 0
-   from the start and the others from zero, in one contiguous carry array
-   with a row per block.  A batched step is one ``np.correlate`` over the
-   flattened rows; the boundary columns, which it mixes with the
-   neighbouring rows, are then recomputed with the ghost nodes (index -1
-   and H+1) set to gain*edge.  The step is linear, x -> A x, so the true
-   level before block b is the zero-start end of block b-1 plus
-   A^GUARD_BLOCK times the level before block b-1: the ends are carried
-   through a dense (A^T)^GUARD_BLOCK, computed once per stencil, gains and
-   width.
-2. Every block is marched again from its true start.  Each level is
-   checked against the guard |x| <= BLOWUP_LIMIT at every node while it is
-   still in the carry, then its kept nodes are written to the output; a
-   short last block leaves the carry when its levels run out, so nothing
-   past the end is marched.
+- State and perturbation, which have M+1 inputs: the zero-start end of
+  each block is its (GUARD_BLOCK, M+1) control samples times the
+  control-node unit rows stepped to the block's end.  After the carry,
+  every block is marched from its true start.  Each level is checked
+  against the guard |x| <= BLOWUP_LIMIT at every node while it is still
+  in the carry, then written; a short last block leaves the carry when
+  its levels run out, so nothing past the end is marched.
+- Adjoint, which stores M+1 outputs: every block is marched once from
+  zero, block 0 from the terminal level, so the state is read once; the
+  kept nodes of these levels are written and each level's extremes
+  noted.  After the carry, level i of block b gains the response of its
+  true start at the kept nodes, s_b (A^T)^(i+1)[:, keep], whose columns
+  are the kept unit rows stepped by the transposed stencil.  The guard
+  passes when max|particular| + ||A||_inf^GUARD_BLOCK max|s_b| <=
+  BLOWUP_LIMIT, a bound on |x| at every node and level that not a number
+  fails.  Where it does not clear, the exact march decides: every block
+  again from its true start, guarded level by level as above.
 
 Overflow warnings are silenced, and ``_march`` alone decides the blow-up
 step: when a level of a march of several blocks fails the guard, it marches
@@ -89,9 +100,15 @@ __all__ = [
 # yet far below float overflow, so the guard fires before inf/nan spread.
 BLOWUP_LIMIT = 1e150
 
-# Levels per block of the march.  A sweep of S steps makes about
-# 2*GUARD_BLOCK batched steps and S/GUARD_BLOCK carries.
+# Levels per block of the march.  A sweep of S steps makes GUARD_BLOCK
+# batched steps (twice that where the adjoint's bound falls back to the
+# exact march) and S/GUARD_BLOCK carries.
 GUARD_BLOCK = 64
+
+# Levels per BLAS product of the unit-row maps that stand in for a second
+# pass; the adjoint's products take MAP_CHUNK kept nodes and half as many
+# levels.  It bounds the maps held at once.
+MAP_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -182,6 +199,25 @@ def _step(x, stencil, gains):
     return y
 
 
+def _step_transposed(x, stencil, gains):
+    """A^T applied to every row of x, as a new array: the stencil (hi, mid,
+    lo), and at the edges the ghost weights lo*gains[0] and hi*gains[1],
+    added apart because hi may be 0."""
+    lo, mid, hi = stencil
+    y = np.correlate(x.ravel(), (hi, mid, lo), "same")[: x.size].reshape(x.shape)
+    y[:, 0] = (mid + lo * gains[0]) * x[:, 0] + lo * x[:, 1]
+    y[:, -1] = hi * x[:, -2] + (mid + hi * gains[1]) * x[:, -1]
+    return y
+
+
+def _norm(stencil, gains):
+    """||A||_inf, the largest absolute row sum of A, as a numpy float so
+    that a power of it overflows to inf instead of raising."""
+    lo, mid, hi = stencil
+    edges = abs(lo * gains[0] + mid) + abs(hi), abs(lo) + abs(mid + hi * gains[1])
+    return np.float64(max(abs(lo) + abs(mid) + abs(hi), *edges))
+
+
 @functools.lru_cache(maxsize=8)
 def _power(stencil, gains, width, block):
     """The dense (A^T)^block of a sweep kind, read-only."""
@@ -190,8 +226,65 @@ def _power(stencil, gains, width, block):
     return power
 
 
+def _add_ends(ends, inputs, stencil, gains, block):
+    """Add to row b of ``ends`` the end of block b marched from zero under
+    the point forcing ``inputs``: its (block, M+1) control samples times the
+    control-node unit rows stepped to the block's end, MAP_CHUNK levels per
+    product.  c[b, j, k] is control k j steps before the end of block b."""
+    nodes, weights, v = inputs
+    unit = np.zeros((len(nodes), ends.shape[1]))
+    unit[np.arange(len(nodes)), nodes] = weights
+    c = v[:, : len(ends) * block].reshape(len(nodes), len(ends), block)
+    c = c[:, :, ::-1].transpose(1, 2, 0)
+    maps = np.empty((MAP_CHUNK,) + unit.shape)
+    for j in range(0, block, MAP_CHUNK):
+        chunk = c[:, j : j + MAP_CHUNK]
+        for m in maps[: chunk.shape[1]]:
+            m[...] = unit
+            unit = _step(unit, stencil, gains)
+        ends += chunk.reshape(len(ends), -1) @ maps[: chunk.shape[1]].reshape(-1, ends.shape[1])
+
+
+def _add_responses(levels, keep, starts, stencil, gains, block):
+    """Add to level i of block b >= 1 the response of its true start s_b,
+    s_b (A^T)^(i+1)[:, keep], whose columns are the kept unit rows stepped
+    i+1 times by A^T; row b-1 of ``starts`` is s_b.  Each kept node's
+    products are BLAS calls of their own, so its values do not depend on
+    how many nodes are kept."""
+    depth = MAP_CHUNK // 2  # levels per product
+    for k in range(0, len(keep), MAP_CHUNK):
+        nodes = slice(k, k + MAP_CHUNK)
+        unit = np.zeros((len(keep[nodes]), starts.shape[1]))
+        unit[np.arange(len(unit)), keep[nodes]] = 1.0
+        maps = np.empty((len(unit), depth, starts.shape[1]))
+        for j in range(0, block, depth):
+            for m in range(depth):
+                unit = _step_transposed(unit, stencil, gains)
+                maps[:, m] = unit
+            response = starts @ maps.transpose(0, 2, 1)
+            for m in range(min(depth, block - j)):
+                rows = levels[block + j + m :: block, nodes]
+                rows += response[:, : len(rows), m].T
+
+
+def _levels(starts, levels, keep, stencil, gains, force, block):
+    """March block b of ``levels`` from row b of ``starts``, writing the kept
+    nodes of each level; a short last block drops out of the carry when it
+    ends.  Yields (i, min, max) over the levels at marching index i of block
+    0 before they are written, then sets rows 1.. of starts to the ends of
+    blocks 0.. ."""
+    x = starts
+    for i in range(min(block, len(levels))):
+        rows = levels[i::block]
+        x = _step(x[: len(rows)], stencil, gains)
+        force(x, slice(i, i + len(x) * block, block))
+        yield i, x.min(), x.max()
+        rows[...] = x[:, keep]
+    starts[1:] = x[: len(starts) - 1]
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _march(start, levels, keep, stencil, gains, force, block):
+def _march(start, levels, keep, stencil, gains, force, inputs, block):
     """Fill ``levels`` by ``x[i+1] = A x[i] + forcing`` from ``x[0] = start``, in blocks.
 
     ``start`` is the (H+1,) level the march begins from; row i of the
@@ -200,7 +293,13 @@ def _march(start, levels, keep, stencil, gains, force, block):
     ``stencil`` is (lo, mid, hi); a level's left and right ghosts are
     gains[0]*edge and gains[1]*edge; ``force(rows, steps)`` adds to each row
     of ``rows`` the forcing of its step, ``steps`` being the slice of their
-    marching indices; ``block`` is the number of levels per block.
+    marching indices.  ``inputs`` is (nodes, weights, v) when that forcing
+    is weights[k]*v[k, i] at node nodes[k] in the step from marching index
+    i, and None when it acts at every node (then ``keep`` is a list).
+    ``block`` is the number of levels per block.
+
+    Each block is marched once: the module docstring gives how the inputs,
+    or the kept nodes and a bound on the guard, price the second pass.
 
     Returns the marching index of the first level beyond BLOWUP_LIMIT (or
     not a number) at any node, stored or not, as a per-step march reports
@@ -210,31 +309,33 @@ def _march(start, levels, keep, stencil, gains, force, block):
     steps, width = len(levels), len(start)
     blocks = -(-steps // block)
     # Row b of starts is the true level before block b.
-    starts = np.empty((blocks, width))
+    starts = np.zeros((blocks, width))
     starts[0] = start
     if blocks > 1:
-        # Pass 1: every block but the last, marched from zero (block 0 from
-        # the start) to its end, then the ends carried through A^block.
-        x = np.zeros((blocks - 1, width))
-        x[0] = start
-        for i in range(block):
-            x = _step(x, stencil, gains)
-            force(x, slice(i, i + len(x) * block, block))
-        starts[1:] = x
         power = _power(stencil, gains, width, block)
+        if inputs is None:
+            # Every block from zero, block 0 from the start.
+            march = _levels(starts, levels, keep, stencil, gains, force, block)
+            extremes = np.array([(low, high) for _, low, high in march])
+        else:
+            _add_ends(starts[1:], inputs, stencil, gains, block)
+            starts[1] += start @ power
         for b in range(2, blocks):
             starts[b] += starts[b - 1] @ power
-    # Pass 2: every block from its true start; level i+1 of each is guarded
-    # at every node, then its kept nodes are written once.  A short last
-    # block drops out of x when it ends.
-    x = starts
-    for i in range(min(block, steps)):
-        rows = levels[i::block]
-        x = _step(x[: len(rows)], stencil, gains)
-        force(x, slice(i, i + len(x) * block, block))
-        if not (-BLOWUP_LIMIT <= x.min() and x.max() <= BLOWUP_LIMIT):
-            return i + 1 if blocks == 1 else _march(start, levels, keep, stencil, gains, force, steps)
-        rows[...] = x[:, keep]
+        if inputs is None:
+            # |x| <= max|particular| + ||A||_inf^(i+1) max|s_b| at level i of
+            # a block, and ||A||_inf > 1 (its interior rows sum to 1 + dt).
+            growth = _norm(stencil, gains) ** block
+            if np.abs(extremes).max() + growth * np.abs(starts[1:]).max() <= BLOWUP_LIMIT:
+                _add_responses(levels, keep, starts[1:], stencil, gains, block)
+                return None
+    # Every block from its true start; level i+1 of each is guarded at every
+    # node before its kept nodes are written.
+    for i, low, high in _levels(starts, levels, keep, stencil, gains, force, block):
+        if not (-BLOWUP_LIMIT <= low and high <= BLOWUP_LIMIT):
+            if blocks == 1:
+                return i + 1
+            return _march(start, levels, keep, stencil, gains, force, inputs, steps)
     return None
 
 
@@ -283,7 +384,8 @@ def solve_state(problem, y0, control):
     # Time-major work array: work[n, j] is node j at time level n.
     work = np.empty((N + 2, H + 1))
     work[0] = y0
-    bad = _march(y0, work[1:], slice(None), stencil, (1.0, 1.0), force, GUARD_BLOCK)
+    inputs = (nodes, weights, v)
+    bad = _march(y0, work[1:], slice(None), stencil, (1.0, 1.0), force, inputs, GUARD_BLOCK)
     if bad is not None:
         raise SolverBlowUpError(step=bad)
     return StateField(work.T)
@@ -325,8 +427,8 @@ def solve_adjoint(problem, state):
     terminal = p.k2 * y[:, N + 1]
     work = np.empty((N + 1, g.M + 1))
     work[N] = terminal[keep]
-    stencil = _stencil(problem, 1.0)
-    bad = _march(terminal, work[-2::-1], keep, stencil, (left_gain, right_gain), force, GUARD_BLOCK)
+    stencil, gains = _stencil(problem, 1.0), (left_gain, right_gain)
+    bad = _march(terminal, work[-2::-1], keep, stencil, gains, force, None, GUARD_BLOCK)
     if bad is not None:
         raise SolverBlowUpError(step=N - bad)
     return AdjointField(work.T)

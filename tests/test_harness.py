@@ -581,6 +581,15 @@ class TestCompareControls:
         with pytest.raises(ValueError, match="different experiments"):
             compare_controls([rows_a[0], rows_b[1]])
 
+    def test_runs_at_different_tolerances_rejected(self, tmp_path):
+        # M = 5 at tol 1e-1 stops after one iteration with a larger terminal
+        # norm than M = 2 at tol 1e-8, which would be flagged best.
+        tight = run_experiment(small_spec(tmp_path / "a", tol=1e-8))
+        loose = run_experiment(small_spec(tmp_path / "b", tol=1e-1))
+        assert loose[1].terminal_norm > tight[0].terminal_norm
+        with pytest.raises(ValueError, match="different experiments"):
+            compare_controls([tight[0], loose[1]])
+
     def test_signed_zero_eps_is_one_experiment(self, tmp_path):
         # eps = 0.0 and -0.0 march the same numbers.
         rows_a = run_experiment(small_spec(tmp_path / "a", eps=0.0))

@@ -469,6 +469,87 @@ class TestKernelAgainstLoopReference:
         assert marches == [GUARD_BLOCK, GUARD_BLOCK]  # neither sweep reran
 
 
+class TestOnePass:
+    """Each sweep marches its blocks once.  The state prices each block's
+    zero-start end from its control samples; the adjoint marches every block
+    from zero and adds the true starts' response at the kept nodes, unless
+    its bound does not clear the guard, where the exact march decides."""
+
+    @staticmethod
+    def record(monkeypatch, name, entry):
+        """Append entry(*args) to a list on every call of solvers.<name>."""
+        calls, original = [], getattr(solvers, name)
+        monkeypatch.setattr(solvers, name, lambda *args: calls.append(entry(*args)) or original(*args))
+        return calls
+
+    def test_each_sweep_makes_one_pass_of_batched_steps(self, monkeypatch):
+        # 21 blocks: the carry has 20 or 21 rows, the maps at most 11.
+        N = 20 * GUARD_BLOCK + 7
+        p = make_problem(T=N / 100, N=N, H=10, M=2)
+        rng = np.random.default_rng(3)
+        v, y0 = random_controls(p.grid, rng), rng.standard_normal(11)
+        y = solve_state(p, y0, v)
+        rows = self.record(monkeypatch, "_step", lambda x, *rest: len(x))
+        for sweep, args in ((solve_state, (p, y0, v)), (solve_perturbation, (p, v)), (solve_adjoint, (p, y))):
+            rows.clear()
+            sweep(*args)
+            assert sum(n >= 20 for n in rows) == GUARD_BLOCK
+
+    @pytest.mark.parametrize("M", [1, 8])
+    def test_adjoint_where_the_transposed_stencil_has_no_ghost(self, M, monkeypatch):
+        # h = 1/8, mu = 1/64, eps = -mu/h: the adjoint's hi = dt*(mu/h^2 + eps/h)
+        # is exactly 0, so its left ghost weight lo*gains[0] has no hi to ride on.
+        N = 3 * GUARD_BLOCK + 5
+        p = make_problem(T=N / 100, mu=1 / 64, eps=-1 / 8, N=N, H=8, M=M, k1=0.7, k2=1.3)
+        assert solvers._stencil(p, 1.0)[2] == 0.0
+        values = np.random.default_rng(M).standard_normal((9, N + 2))
+        priced = self.record(monkeypatch, "_step_transposed", lambda *args: 1)
+        q = solve_adjoint(p, StateField(values)).values
+        q_ref = reference_adjoint(p, values)[control_indices(p.grid)]
+        assert priced
+        assert np.abs(q - q_ref).max() <= 1e-12 * np.abs(q_ref).max()
+
+    @pytest.mark.parametrize("index", [2 * GUARD_BLOCK + 3, 3 * GUARD_BLOCK + 2])
+    def test_nan_in_the_adjoint_source_raises_at_the_reference_step(self, index):
+        # The step from marching index i reads the state at time N - i.  The
+        # second index lies in the short last block, after every block start,
+        # so only the particular peak can see it.
+        N = 3 * GUARD_BLOCK + 5
+        p = make_problem(T=N / 100, N=N, H=10, M=2)
+        values = np.random.default_rng(4).standard_normal((11, N + 2))
+        values[4, N - index] = np.nan
+        step = blow_up_step(solve_adjoint, p, StateField(values))
+        assert step == blow_up_step(reference_adjoint, p, values) == N - index - 1
+
+    def test_adjoint_blow_up_in_a_later_block(self, monkeypatch):
+        # The terminal data are small, so the first block passes; a later one
+        # overflows, its bound cannot clear, and the exact march redoes itself
+        # as one block.
+        p = unstable_problem()
+        g = p.grid
+        values = np.zeros((51, g.N + 2))
+        values[20:31, -1] = 1e-20
+        marches = self.record(monkeypatch, "_march", lambda *args: args[-1])
+        step = blow_up_step(solve_adjoint, p, StateField(values))
+        assert g.N - step > 2 * GUARD_BLOCK
+        assert step == blow_up_step(reference_adjoint, p, values)
+        assert marches == [GUARD_BLOCK, g.N]
+
+    def test_exact_march_decides_where_the_bound_does_not_clear(self, monkeypatch):
+        # With the limit just above the true peak, the bound, which adds the
+        # particular peak to the starts' growth, cannot clear it: the exact
+        # march runs, passes, and the traces still match the plain loops.
+        N = 20 * GUARD_BLOCK + 7
+        p = make_problem(T=N / 100, N=N, H=10, M=2)
+        values = np.random.default_rng(5).standard_normal((11, N + 2))
+        q_ref = reference_adjoint(p, values)
+        monkeypatch.setattr(solvers, "BLOWUP_LIMIT", np.abs(q_ref).max() * (1 + 1e-9))
+        rows = self.record(monkeypatch, "_step", lambda x, *rest: len(x))
+        q = solve_adjoint(p, StateField(values)).values
+        assert sum(n >= 20 for n in rows) == 2 * GUARD_BLOCK
+        assert np.abs(q - q_ref[control_indices(p.grid)]).max() <= 1e-12 * np.abs(q_ref).max()
+
+
 class TestCarryPower:
     """The dense (A^T)^GUARD_BLOCK is computed once per kind of sweep."""
 

@@ -56,7 +56,7 @@ def _add_problem_args(parser):
     g.add_argument("--k0", type=float, help="control cost weight (default %(default)s)")
     g.add_argument("--k1", type=float, help="running state weight (default %(default)s)")
     g.add_argument("--k2", type=float, help="terminal state weight (default %(default)s)")
-    g.add_argument("--H", type=int, default=100, help="spatial cells (default 100)")
+    g.add_argument("--H", type=int, default=100, help="spatial cells (default %(default)s)")
     g.add_argument(
         "--N",
         type=int,
@@ -69,7 +69,8 @@ def _add_problem_args(parser):
         action="append",
         dest="control_counts",
         metavar="M",
-        help="control count, repeatable; M+1 signals each (default 2, 4, 10)",
+        help="control count, repeatable; M+1 signals each (default %s)"
+        % ", ".join(map(str, DEFAULT_CONTROL_COUNTS)),
     )
     parser.set_defaults(**asdict(PhysicalConfig()))
 
@@ -86,7 +87,10 @@ def build_parser():
     run.add_argument("--ic", choices=("pulse", "sine"), default="pulse", help="initial condition")
     run.add_argument("--amplitude", type=float, help="profile amplitude (default %(default)s)")
     run.add_argument(
-        "--frequency", type=int, default=5, help="sine half-waves over the domain (default 5)"
+        "--frequency",
+        type=int,
+        default=5,
+        help="sine half-waves over the domain (default %(default)s)",
     )
     run.add_argument(
         "--support",
@@ -167,10 +171,12 @@ def _cmd_run(args, out):
         print(line, file=out)
 
     usable = [row for row in rows if row.cost is not None]
-    if len(usable) >= 2:
+    comparison_path = Path(args.out) / "comparison.csv"
+    if len(usable) < 2:
+        comparison_path.unlink(missing_ok=True)  # an earlier run's table
+    else:
         table = compare_controls(usable)
         print(table.format(), file=out)
-        comparison_path = Path(args.out) / "comparison.csv"
         with open(comparison_path, "w", newline="") as fh:
             fh.write("\n".join(table.csv_lines()) + "\n")
         print(f"comparison table written to {comparison_path}", file=out)

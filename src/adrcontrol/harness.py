@@ -332,7 +332,8 @@ def write_summary_txt(path, row):
 def _run_count(spec, problem, y0, shared):
     """Solve one control count, write its files and return its row.
 
-    A failed row differs from a solved one only in its metrics.
+    A failed row differs from a solved one only in its metrics, and its
+    directory holds only ``summary.txt``.
     """
     run_dir = spec.output_dir / f"{spec.ic.kind}_{problem.grid.M}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -340,6 +341,8 @@ def _run_count(spec, problem, y0, shared):
         control, report = cg_solve(problem, y0, spec.cg)
     except (SolverBlowUpError, CurvatureLossError) as exc:
         metrics = dict(status=exc.status, iterations=0, error=str(exc))
+        for name in ("state.csv", "controls.csv", "convergence.csv"):
+            (run_dir / name).unlink(missing_ok=True)  # an earlier run's data
     else:
         metrics = dict(
             status=report.status,

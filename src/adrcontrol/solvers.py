@@ -31,44 +31,45 @@ mid = 1 + dt*(1 - 2*mu/h^2 - eps/h) and the source dt*k1*y[., n], read
 straight from the state's rows.  The Robin closures are
 p[-1, n] = mu*p[0, n]/(mu - eps*h) and p[H+1, n] = (mu - eps*h)*p[H, n]/mu.
 
-A sweep writes each level of its output exactly once and never reads it
-back.  The adjoint's output is its M+1 control traces, the only rows the
-reduced gradient reads: every node is marched and guarded, but only the
-control nodes of each level are written, (M+1) x (N+1) values instead of
-the (H+1) x (N+1) trajectory.
+Each sweep gives its forcing once, as data: (nodes, weights, v), whose
+step from marching index i adds weights*v[:, i] at ``nodes``.  For the
+state these are the control nodes, the weights lo*(h/mu) at node 0 and
+hi*(h/mu) at node H (the flux closures' share of the stencil) and dt/h at
+the interior ones, and the controls; for the adjoint, every node, dt*k1
+and the state's levels N..1.  A sweep writes each level of its output exactly once and never
+reads it back.  The adjoint's output is its M+1 control traces, the only
+rows the reduced gradient reads: every node is marched and guarded, but
+only the control nodes of each level are written.
 
-Its forcing is added by a per-step callback: for the state the M+1 control
-columns of the step, as lo*(h/mu)*v[0] at node 0, hi*(h/mu)*v[M] at node H
-(the flux closures' share of the stencil) and dt*v[k]/h at each interior
-control node; for the adjoint dt*k1 times the state's row.  The kernel
-splits the levels into blocks of GUARD_BLOCK and marches the blocks side
-by side, one row per block of one contiguous carry array.  A batched step
-is one ``np.correlate`` over the flattened rows; the boundary columns,
-which it mixes with the neighbouring rows, are then recomputed with the
-ghost nodes (index -1 and H+1) set to gain*edge.  The step is linear,
-x -> A x, so the true level s_b before block b is the zero-start end of
-block b-1 plus A^GUARD_BLOCK s_(b-1): the ends are carried through a dense
-(A^T)^GUARD_BLOCK, computed once per stencil, gains and width.  Each block
-is marched once, and what a second pass would add is priced through the
-M+1 control rows:
+The kernel splits the levels into blocks of GUARD_BLOCK and marches the
+blocks side by side, one row per block of one contiguous carry array.  A
+batched step is one ``np.correlate`` over the flattened rows; the
+boundary columns, which it mixes with the neighbouring rows, are then
+recomputed with the ghost nodes (index -1 and H+1) set to gain*edge.  The
+step is linear, x -> A x, so the true level s_b before block b is the
+zero-start end of block b-1 plus A^GUARD_BLOCK s_(b-1): the ends are
+carried through a dense (A^T)^GUARD_BLOCK, computed once per stencil,
+gains and width.  Each block is marched once, and what a second pass
+would add is priced through the M+1 control rows, chosen by what the
+sweep stores:
 
-- State and perturbation, which have M+1 inputs: the zero-start end of
-  each block is its (GUARD_BLOCK, M+1) control samples times the
-  control-node unit rows stepped to the block's end.  After the carry,
-  every block is marched from its true start.  Each level is checked
-  against the guard |x| <= BLOWUP_LIMIT at every node while it is still
-  in the carry, then written; a short last block leaves the carry when
-  its levels run out, so nothing past the end is marched.
-- Adjoint, which stores M+1 outputs: every block is marched once from
-  zero, block 0 from the terminal level, so the state is read once; the
-  kept nodes of these levels are written and each level's extremes
-  noted.  After the carry, level i of block b gains the response of its
-  true start at the kept nodes, s_b (A^T)^(i+1)[:, keep], whose columns
-  are the kept unit rows stepped by the transposed stencil.  The guard
-  passes when max|particular| + ||A||_inf^GUARD_BLOCK max|s_b| <=
-  BLOWUP_LIMIT, a bound on |x| at every node and level that not a number
-  fails.  Where it does not clear, the exact march decides: every block
-  again from its true start, guarded level by level as above.
+- Every node (state and perturbation): the zero-start end of each block
+  is its (GUARD_BLOCK, M+1) control samples times the control-node unit
+  rows, scaled by the weights, stepped to the block's end.  After the
+  carry, every block is marched from its true start.  Each level is
+  checked against the guard |x| <= BLOWUP_LIMIT at every node while it is
+  still in the carry, then written; a short last block leaves the carry
+  when its levels run out, so nothing past the end is marched.
+- A list of nodes (adjoint): every block is marched once from zero, block
+  0 from the terminal level, so the state is read once; the kept nodes of
+  these levels are written and each level's extremes noted.  After the
+  carry, level i of block b gains the response of its true start at the
+  kept nodes, s_b (A^T)^(i+1)[:, keep], whose columns are the kept unit
+  rows stepped by the transposed stencil.  The guard passes when
+  max|particular| + ||A||_inf^GUARD_BLOCK max|s_b| <= BLOWUP_LIMIT, a
+  bound on |x| at every node and level that not a number fails.  Where it
+  does not clear, the exact march decides: every block again from its
+  true start, guarded level by level as above.
 
 Overflow warnings are silenced, and ``_march`` alone decides the blow-up
 step: when a level of a march of several blocks fails the guard, it marches
@@ -226,12 +227,12 @@ def _power(stencil, gains, width, block):
     return power
 
 
-def _add_ends(ends, inputs, stencil, gains, block):
+def _add_ends(ends, forcing, stencil, gains, block):
     """Add to row b of ``ends`` the end of block b marched from zero under
-    the point forcing ``inputs``: its (block, M+1) control samples times the
-    control-node unit rows stepped to the block's end, MAP_CHUNK levels per
-    product.  c[b, j, k] is control k j steps before the end of block b."""
-    nodes, weights, v = inputs
+    ``forcing``: its (block, M+1) inputs times the weighted unit rows of
+    their nodes stepped to the block's end, MAP_CHUNK levels per product.
+    c[b, j, k] is input k j steps before the end of block b."""
+    nodes, weights, v = forcing
     unit = np.zeros((len(nodes), ends.shape[1]))
     unit[np.arange(len(nodes)), nodes] = weights
     c = v[:, : len(ends) * block].reshape(len(nodes), len(ends), block)
@@ -267,62 +268,59 @@ def _add_responses(levels, keep, starts, stencil, gains, block):
                 rows += response[:, : len(rows), m].T
 
 
-def _levels(starts, levels, keep, stencil, gains, force, block):
-    """March block b of ``levels`` from row b of ``starts``, writing the kept
-    nodes of each level; a short last block drops out of the carry when it
-    ends.  Yields (i, min, max) over the levels at marching index i of block
-    0 before they are written, then sets rows 1.. of starts to the ends of
-    blocks 0.. ."""
+def _levels(starts, levels, keep, stencil, gains, forcing, block):
+    """March block b of ``levels`` from row b of ``starts`` under
+    ``forcing``, writing the kept nodes of each level; a short last block
+    drops out of the carry when it ends.  Yields (i, min, max) over level i
+    of every block before it is written, then sets rows 1.. of starts to
+    the ends of blocks 0.. ."""
+    nodes, weights, v = forcing
     x = starts
     for i in range(min(block, len(levels))):
         rows = levels[i::block]
         x = _step(x[: len(rows)], stencil, gains)
-        force(x, slice(i, i + len(x) * block, block))
+        x[:, nodes] += weights * v[:, i::block].T
         yield i, x.min(), x.max()
         rows[...] = x[:, keep]
     starts[1:] = x[: len(starts) - 1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _march(start, levels, keep, stencil, gains, force, inputs, block):
+def _march(start, levels, keep, stencil, gains, forcing, block):
     """Fill ``levels`` by ``x[i+1] = A x[i] + forcing`` from ``x[0] = start``, in blocks.
 
     ``start`` is the (H+1,) level the march begins from; row i of the
     (steps, len(keep)) output ``levels`` is ``x[i+1][keep]``, so ``keep`` is
     ``slice(None)`` for every node or a list of the nodes to store;
     ``stencil`` is (lo, mid, hi); a level's left and right ghosts are
-    gains[0]*edge and gains[1]*edge; ``force(rows, steps)`` adds to each row
-    of ``rows`` the forcing of its step, ``steps`` being the slice of their
-    marching indices.  ``inputs`` is (nodes, weights, v) when that forcing
-    is weights[k]*v[k, i] at node nodes[k] in the step from marching index
-    i, and None when it acts at every node (then ``keep`` is a list).
-    ``block`` is the number of levels per block.
-
-    Each block is marched once: the module docstring gives how the inputs,
-    or the kept nodes and a bound on the guard, price the second pass.
+    gains[0]*edge and gains[1]*edge; ``forcing`` is (nodes, weights, v),
+    one column of v per step, its nodes a list where ``keep`` is
+    ``slice(None)``; ``block`` is the number of levels per block.
 
     Returns the marching index of the first level beyond BLOWUP_LIMIT (or
     not a number) at any node, stored or not, as a per-step march reports
-    it: a march of several blocks that fails the guard is marched again as
-    one block.  Returns None when every level passes.
+    it, or None when every level passes.
     """
     steps, width = len(levels), len(start)
     blocks = -(-steps // block)
     # Row b of starts is the true level before block b.
     starts = np.zeros((blocks, width))
     starts[0] = start
+    # A sweep that stores every node prices its block ends from the forcing;
+    # one that keeps a list of nodes adds the starts' response there.
+    priced = isinstance(keep, slice)
     if blocks > 1:
         power = _power(stencil, gains, width, block)
-        if inputs is None:
-            # Every block from zero, block 0 from the start.
-            march = _levels(starts, levels, keep, stencil, gains, force, block)
-            extremes = np.array([(low, high) for _, low, high in march])
-        else:
-            _add_ends(starts[1:], inputs, stencil, gains, block)
+        if priced:
+            _add_ends(starts[1:], forcing, stencil, gains, block)
             starts[1] += start @ power
+        else:
+            # Every block from zero, block 0 from the start.
+            march = _levels(starts, levels, keep, stencil, gains, forcing, block)
+            extremes = np.array([(low, high) for _, low, high in march])
         for b in range(2, blocks):
             starts[b] += starts[b - 1] @ power
-        if inputs is None:
+        if not priced:
             # |x| <= max|particular| + ||A||_inf^(i+1) max|s_b| at level i of
             # a block, and ||A||_inf > 1 (its interior rows sum to 1 + dt).
             growth = _norm(stencil, gains) ** block
@@ -331,11 +329,11 @@ def _march(start, levels, keep, stencil, gains, force, inputs, block):
                 return None
     # Every block from its true start; level i+1 of each is guarded at every
     # node before its kept nodes are written.
-    for i, low, high in _levels(starts, levels, keep, stencil, gains, force, block):
+    for i, low, high in _levels(starts, levels, keep, stencil, gains, forcing, block):
         if not (-BLOWUP_LIMIT <= low and high <= BLOWUP_LIMIT):
             if blocks == 1:
                 return i + 1
-            return _march(start, levels, keep, stencil, gains, force, inputs, steps)
+            return _march(start, levels, keep, stencil, gains, forcing, steps)
     return None
 
 
@@ -372,20 +370,13 @@ def solve_state(problem, y0, control):
         raise ValueError("initial state must be finite")
     v = control.checked((M + 1, N + 1))
     lo, _, hi = stencil = _stencil(problem, -1.0)
-    # Control k enters at node nodes[k], scaled by weights[k]: the flux
-    # closures' share of the stencil at the ends, dt/h at interior nodes.
-    nodes = control_indices(g)
     weights = np.full(M + 1, dt / h)
     weights[0], weights[M] = lo * (h / mu), hi * (h / mu)
-
-    def force(rows, steps):
-        rows[:, nodes] += weights * v[:, steps].T
-
     # Time-major work array: work[n, j] is node j at time level n.
     work = np.empty((N + 2, H + 1))
     work[0] = y0
-    inputs = (nodes, weights, v)
-    bad = _march(y0, work[1:], slice(None), stencil, (1.0, 1.0), force, inputs, GUARD_BLOCK)
+    forcing = (control_indices(g), weights, v)
+    bad = _march(y0, work[1:], slice(None), stencil, (1.0, 1.0), forcing, GUARD_BLOCK)
     if bad is not None:
         raise SolverBlowUpError(step=bad)
     return StateField(work.T)
@@ -419,16 +410,12 @@ def solve_adjoint(problem, state):
     keep = control_indices(g)
 
     # Marching index i is time level N - i; the step from it reads y[., N - i].
-    source = y.T[N:0:-1]
-
-    def force(rows, steps):
-        rows += (dt * p.k1) * source[steps]
-
+    forcing = (slice(None), dt * p.k1, y[:, N:0:-1])
     terminal = p.k2 * y[:, N + 1]
     work = np.empty((N + 1, g.M + 1))
     work[N] = terminal[keep]
     stencil, gains = _stencil(problem, 1.0), (left_gain, right_gain)
-    bad = _march(terminal, work[-2::-1], keep, stencil, gains, force, None, GUARD_BLOCK)
+    bad = _march(terminal, work[-2::-1], keep, stencil, gains, forcing, GUARD_BLOCK)
     if bad is not None:
         raise SolverBlowUpError(step=N - bad)
     return AdjointField(work.T)

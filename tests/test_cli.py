@@ -214,6 +214,23 @@ class TestRun:
         summary = (tmp_path / "pulse_2" / "summary.txt").read_text()
         assert "status=blow_up" in summary
 
+    def test_failed_count_leaves_no_data_of_an_earlier_run(self, tmp_path, capsys):
+        # A sound run fills sine_2/ and comparison.csv; a rerun into the same
+        # directory whose only count blows up must leave neither its data files
+        # nor its comparison table.
+        sound = ["run", "--ic", "sine", "--H", "20", "--M", "2", "--M", "4", "--out", str(tmp_path)]
+        assert main(sound) == 0
+        assert (tmp_path / "comparison.csv").exists()
+        with pytest.warns(UserWarning):
+            rc = main([
+                "run", "--ic", "sine", "--mu", "1", "--H", "50", "--N", "2503",
+                "--M", "2", "--out", str(tmp_path),
+            ])
+        assert rc == 2
+        assert "status=blow_up" in (tmp_path / "sine_2" / "summary.txt").read_text()
+        assert sorted(p.name for p in (tmp_path / "sine_2").iterdir()) == ["summary.txt"]
+        assert not (tmp_path / "comparison.csv").exists()
+
     def test_refused_grid_exit_code(self, tmp_path, capsys):
         rc = main([
             "run", "--ic", "pulse", "--mu", "1", "--H", "50", "--N", "2000",

@@ -511,8 +511,13 @@ class TestRunExperiment:
                 raise failure
             return cg_solve(problem, y0, config)
 
-        monkeypatch.setattr(harness, "cg_solve", cg_solve_failing_for_m5)
+        # A solved run first fills the failing count's directory; the failed
+        # count must not leave that run's data beside its summary.
         spec = small_spec(tmp_path / "out", counts=(2, 5))
+        data_files = ("state.csv", "controls.csv", "convergence.csv")
+        earlier = run_experiment(spec)[1].run_dir
+        assert all((earlier / name).exists() for name in data_files)
+        monkeypatch.setattr(harness, "cg_solve", cg_solve_failing_for_m5)
         converged, blown = run_experiment(spec)
 
         assert converged.status == "converged"
@@ -527,7 +532,8 @@ class TestRunExperiment:
         assert summary["status"] == status
         assert summary["J_total"] == "nan"
         assert summary["uncontrolled_terminal_norm"] == _fmt(converged.uncontrolled_terminal_norm)
-        assert not (blown.run_dir / "state.csv").exists()
+        assert blown.run_dir == earlier
+        assert not any((blown.run_dir / name).exists() for name in data_files)
 
     def test_refuses_severely_unstable_grid(self, tmp_path):
         spec = small_spec(tmp_path / "out", mu=1.0, N=2000, H=50)

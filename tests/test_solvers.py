@@ -338,16 +338,17 @@ class TestSolveAdjoint:
 
 
 @st.composite
-def adjoint_cases(draw):
-    """(problem, state) on a small stable grid, M any divisor of H, whose
-    adjoint marches a level count near a multiple of GUARD_BLOCK."""
+def adjoint_cases(draw, max_ratio=1.0):
+    """(problem, state) on a small grid of stability ratio 0.05..max_ratio,
+    M any divisor of H, whose adjoint marches a level count near a multiple
+    of GUARD_BLOCK."""
     H = draw(st.integers(1, 12))
     M = draw(st.sampled_from([m for m in range(1, H + 1) if H % m == 0]))
     N = max(1, GUARD_BLOCK * draw(st.integers(0, 3)) + draw(st.integers(-2, 2)))
     mu, eps, h = 0.1, draw(st.floats(-0.5, 0.5)), 1.0 / H
     if abs(mu - eps * h) <= 0.01:  # keep clear of the refused mu = eps*h
         eps = -eps
-    T = draw(st.floats(0.05, 1.0)) * N / (2.0 * mu / h**2 + abs(eps) / h)  # stability ratio 0.05..1
+    T = draw(st.floats(0.05, max_ratio)) * N / (2.0 * mu / h**2 + abs(eps) / h)
     p = make_problem(T=T, mu=mu, eps=eps, N=N, H=H, M=M, k1=0.7, k2=1.3)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return p, StateField(rng.standard_normal((H + 1, N + 2)))
@@ -400,6 +401,13 @@ class TestKernelAgainstLoopReference:
         q_ref = reference_adjoint(p, y.values)
         assert np.abs(q - q_ref).max() <= self.TOL * np.abs(q_ref).max()
         assert solve_adjoint(p, y).values.tobytes() == q[control_indices(g)].tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(adjoint_cases(max_ratio=0.49), st.integers(0, 2**32 - 1))
+    def test_drawn_grids_match_plain_loops(self, case, seed):
+        # One block, a short last block and several blocks, each under the
+        # state's forcing at its control nodes and the adjoint's at every node.
+        self.check_against_loops(case[0], seed)
 
     @pytest.mark.parametrize("eps", [0.3, -0.2])
     def test_state_and_adjoint_match_plain_loops(self, eps):

@@ -13,7 +13,9 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -173,10 +175,13 @@ _MARGIN = np.where((_EXPONENTS >= -11) & (_EXPONENTS <= 16), 0.0, 2.0**-5)
 # point after it, 40-44 the exponent, 47 the newline; absent bytes are NUL.
 # As six uint64 words, words 1-4 hold four digits each.
 _VALUE_BYTES = 48
-_DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(48)  # "0000".."9999"
 _spaced = np.zeros((10000, 8), np.uint8)
-_spaced[:, 0::2] = _DIGITS
-_DIGIT_WORDS = _spaced.view(np.uint64).ravel()  # four digits, each followed by a NUL
+_spaced[:, 0::2] = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(48)
+_DIGIT_WORDS = _spaced.view(np.uint64).ravel()  # "0000".."9999", each digit followed by a NUL
+_trimmed = _spaced.copy()
+for _col in (6, 4, 2, 0):  # a "0" that no digit follows is a trailing zero
+    _trimmed[(_trimmed[:, _col] == ord("0")) & ~_trimmed[:, _col + 1 :].any(1), _col] = 0
+_TRIMMED_WORDS = _trimmed.view(np.uint64).ravel()  # the same with trailing zeros NUL
 
 
 def _value_templates():
@@ -233,14 +238,19 @@ def _value_text(x):
     lead, q, r = hi // 10**8, hi // 10**4, lo // 10**4
     groups = (q - lead * 10**4, hi - q * 10**4, r, lo - r * 10**4)  # digits 1-4 .. 13-16
     words = _TEMPLATES.take(X, axis=0)
-    for j, g in enumerate(groups):
+    for j, g in enumerate(groups[:3]):
         words[:, j + 1] |= _DIGIT_WORDS.take(g)
+    # %g strips trailing zeros after the point, and the point if bare.  The
+    # trimmed words do it where digits 13-16 follow the point and are not all
+    # 0; the rest keep the slots up to the last nonzero digit or the point.
+    g = groups[3]
+    words[:, 4] |= _TRIMMED_WORDS.take(g)
+    rest = np.flatnonzero((g == 0) | (_POINT.take(X) > 12))
+    words[rest, 4] |= _DIGIT_WORDS.take(g[rest])
     text = words.view(np.uint8)
     text[:, 6] = lead + 48
     text[:, 0] = np.signbit(x) * np.uint8(ord("-"))
-    # %g strips trailing zeros after the point, and the point if bare: keep
-    # the slots up to the last nonzero digit or the digit before the point.
-    z = np.flatnonzero(groups[3] % 10 == 0)
+    z = rest[g[rest] % 10 == 0]
     body = text[z, 6:40]
     last = 16 - np.argmax(body[:, -2::-2] != ord("0"), axis=1)
     body[np.arange(34) > 2 * np.maximum(last, _POINT[X[z]])[:, None]] = 0
@@ -259,34 +269,43 @@ def _text_rows(strings):
     return rows.view(np.uint8).reshape(len(strings), rows.itemsize)
 
 
-_CHUNK = 1 << 13  # values per block: larger blocks only cost memory
+@functools.lru_cache(maxsize=4)
+def _level_labels(n_levels, dt):
+    """The text rows "n,t," of levels 0 .. n_levels - 1, read-only."""
+    heads = _text_rows(["%d,%.17g," % (n, n * dt) for n in range(n_levels)])
+    heads.setflags(write=False)
+    return heads
+
+
+_CHUNK = 1 << 13  # values per block; one block buffer per file, so larger ones only cost memory
 
 
 def _write_levels(path, header, grid, nodes, levels):
     """Write the line "n,t,i,x_j,v" for every time level n and node j = nodes[i].
 
     ``levels[n]`` holds the values of level n in node order.  Each block of
-    about _CHUNK values is laid out as rows of NUL-padded bytes,
-    "n,t," | "i,x_j," | _value_text(v), and one translate drops the
-    padding.  Every number reads as ``"%.17g" % v``, which is ``_fmt(v)``.
+    about _CHUNK values is laid out as NUL-padded rows "n,t," | "i,x_j," |
+    _value_text(v) in one buffer that keeps the node labels, and one
+    translate drops the padding.  Every number reads as ``_fmt(v)``.
     """
     levels = np.asarray(levels, dtype=np.float64)
     n_levels, n_nodes = levels.shape
     x = grid_nodes(grid)
-    heads = _text_rows(["%d,%.17g," % (n, n * grid.dt) for n in range(n_levels)])
+    heads = _level_labels(n_levels, grid.dt)
     tails = _text_rows([f"{i},{_fmt(x[j])}," for i, j in enumerate(nodes)])
     hw, tw = heads.shape[1], tails.shape[1]
-    step = max(1, _CHUNK // n_nodes)
+    step = min(n_levels, max(1, _CHUNK // n_nodes))
+    buf = bytearray(step * n_nodes * (hw + tw + _VALUE_BYTES))
+    rows = np.frombuffer(buf, np.uint8).reshape(step, n_nodes, -1)
+    rows[:, :, hw : hw + tw] = tails
     with open(path, "wb") as fh:
         fh.write(header.encode())
         for start in range(0, n_levels, step):
             block = levels[start : start + step]
-            buf = bytearray(block.size * (hw + tw + _VALUE_BYTES))
-            rows = np.frombuffer(buf, np.uint8).reshape(*block.shape, -1)
-            rows[:, :, :hw] = heads[start : start + step, None]
-            rows[:, :, hw : hw + tw] = tails
-            rows[:, :, hw + tw :] = _value_text(block.ravel()).reshape(*block.shape, -1)
-            fh.write(buf.translate(None, b"\0"))
+            used = rows[: len(block)]
+            used[:, :, :hw] = heads[start : start + step, None]
+            used[:, :, hw + tw :] = _value_text(block.ravel()).reshape(*block.shape, -1)
+            fh.write((buf if len(block) == step else buf[: used.nbytes]).translate(None, b"\0"))
 
 
 def write_state_csv(path, problem, state):
@@ -366,13 +385,19 @@ def run_experiment(spec):
 
     Returns one ExperimentSummary per control count, in the order requested.
     check_stability applies the stability policy first, so a refused grid
-    raises ConfigurationError before any solve.  A solver failure is
-    recorded in its run's row, status "blow_up" or "curvature_loss" (the
-    exception's ``status``), and does not abort the remaining runs.  At
-    most one count's trajectories are held at a time.
+    raises ConfigurationError before any solve, as does an earlier run's
+    ``<kind>_<M>/summary.txt`` in output_dir for a count M not requested.
+    A solver failure is recorded in its run's row, status "blow_up" or
+    "curvature_loss" (the exception's ``status``), and does not abort the
+    remaining runs.  At most one count's trajectories are held at a time.
     """
     base_grid = spec.problem.grid
     ratio = check_stability(spec.problem)
+    kind = spec.ic.kind
+    names = (path.parent.name for path in spec.output_dir.glob(f"{kind}_*/summary.txt"))
+    counts = {int(n[len(kind) + 1 :]) for n in names if re.fullmatch(f"{kind}_[1-9][0-9]*", n)}
+    if stale := ", ".join(f"{kind}_{m}" for m in sorted(counts - set(spec.control_counts))):
+        raise ConfigurationError(f"{spec.output_dir} holds runs of counts not requested: {stale}")
     y0 = make_initial_condition(spec.ic, base_grid)
 
     # The uncontrolled baseline does not involve controls, so one solve

@@ -215,21 +215,31 @@ class TestRun:
         assert "status=blow_up" in summary
 
     def test_failed_count_leaves_no_data_of_an_earlier_run(self, tmp_path, capsys):
-        # A sound run fills sine_2/ and comparison.csv; a rerun into the same
-        # directory whose only count blows up must leave neither its data files
-        # nor its comparison table.
-        sound = ["run", "--ic", "sine", "--H", "20", "--M", "2", "--M", "4", "--out", str(tmp_path)]
-        assert main(sound) == 0
+        # A sound run fills sine_2/, sine_5/ and comparison.csv; a rerun of the
+        # same counts into the same directory, where both blow up, must leave
+        # neither their data files nor the comparison table.
+        counts = ["--M", "2", "--M", "5", "--out", str(tmp_path)]
+        assert main(["run", "--ic", "sine", "--H", "20", *counts]) == 0
         assert (tmp_path / "comparison.csv").exists()
         with pytest.warns(UserWarning):
-            rc = main([
-                "run", "--ic", "sine", "--mu", "1", "--H", "50", "--N", "2503",
-                "--M", "2", "--out", str(tmp_path),
-            ])
+            rc = main(["run", "--ic", "sine", "--mu", "1", "--H", "50", "--N", "2503", *counts])
         assert rc == 2
-        assert "status=blow_up" in (tmp_path / "sine_2" / "summary.txt").read_text()
-        assert sorted(p.name for p in (tmp_path / "sine_2").iterdir()) == ["summary.txt"]
+        for m in (2, 5):
+            assert "status=blow_up" in (tmp_path / f"sine_{m}" / "summary.txt").read_text()
+            assert sorted(p.name for p in (tmp_path / f"sine_{m}").iterdir()) == ["summary.txt"]
         assert not (tmp_path / "comparison.csv").exists()
+
+    def test_stale_count_directory_is_refused(self, tmp_path, capsys):
+        # A rerun without --M 5 would leave the first run's sine_5/ beside its
+        # own rows, unmarked: it is refused before any solve, touching no file.
+        grid = ["run", "--ic", "sine", "--H", "10", "--N", "50", "--out", str(tmp_path)]
+        assert main([*grid, "--M", "2", "--M", "5"]) == 0
+        files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main([*grid, "--M", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration") and err.endswith("sine_5\n")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
 
     def test_refused_grid_exit_code(self, tmp_path, capsys):
         rc = main([

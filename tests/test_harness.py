@@ -130,6 +130,21 @@ class TestWriters:
         reference_controls_csv(tmp_path / "ref.csv", p, control)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_level_labels_follow_the_grid(self, tmp_path):
+        # Grids written one after the other in one process: another N, then
+        # the same N with another T, so another dt, must not reuse labels.
+        for k, (N, T) in enumerate([(7, 1.0), (8, 1.0), (8, 0.5)]):
+            p = small_problem(N=N, H=6, M=3, T=T)
+            state = StateField(self.values((7, N + 2), 3 + k))
+            control = ControlField(self.values((4, N + 1), 6 + k))
+            write_state_csv(tmp_path / "state.csv", p, state)
+            reference_state_csv(tmp_path / "state_ref.csv", p, state)
+            write_controls_csv(tmp_path / "controls.csv", p, control)
+            reference_controls_csv(tmp_path / "controls_ref.csv", p, control)
+            for name in ("state", "controls"):
+                fast, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
+                assert fast.read_bytes() == ref.read_bytes(), (N, T, name)
+
 
 def percent_text(values):
     """The reference: one ``"%.17g" %`` per value, one line each."""
@@ -224,11 +239,26 @@ class TestValueText:
     def test_any_finite_doubles(self, values):
         assert_formats_as_percent(np.array(values))
 
+    def test_every_digit_count_at_every_fixed_exponent(self):
+        # 1-17 significant digits at decimal exponents -6..18: the point
+        # falls before, at and after digit 13, and digits 13-16 are all zero,
+        # end in zeros or end in a nonzero digit.
+        rng = np.random.default_rng(16)
+        values = [1234567890123.4, 12345678901234.5, 1.2e13, 1.2e16, 1.0000000000001e13]
+        values += [float(f"1.234567890123e{e}") for e in range(-6, 19)]  # 13-16 all zero
+        values += [float(f"1.2345678901230001e{e}") for e in range(-6, 19)]
+        for k in range(1, 18):
+            digits = rng.integers(10 ** (k - 1), 10**k, 40).tolist()
+            values += [float(f"{d}e{e - k + 1}") for d in digits for e in range(-6, 19)]
+        values = np.array(values)
+        assert_formats_as_percent(np.concatenate([values, -values]))
+
     def test_narrow_long_double_takes_the_exact_path(self, monkeypatch, tmp_path):
         # Without a 64-bit long double significand nothing is trusted, so
         # even wrong digit tables leave the text exact.
         monkeypatch.setattr(harness, "_WIDE_LONG_DOUBLE", False)
         monkeypatch.setattr(harness, "_DIGIT_WORDS", np.zeros_like(harness._DIGIT_WORDS))
+        monkeypatch.setattr(harness, "_TRIMMED_WORDS", np.zeros_like(harness._TRIMMED_WORDS))
         rng = np.random.default_rng(15)
         values = rng.standard_normal(10_000) * 10.0 ** rng.integers(-20, 20, 10_000)
         assert_formats_as_percent(values)
@@ -436,6 +466,12 @@ class TestRunExperiment:
             assert row.uncontrolled_terminal_norm == expected_norm
             assert row.terminal_norm < row.uncontrolled_terminal_norm
 
+    def test_level_labels_are_built_once_per_level_count(self, tmp_path):
+        # state.csv has N + 2 levels and controls.csv N + 1, whatever the count.
+        harness._level_labels.cache_clear()
+        run_experiment(small_spec(tmp_path / "out", counts=(2, 5, 10)))
+        assert harness._level_labels.cache_info().misses <= 2
+
     def test_state_is_solved_once_per_experiment(self, tmp_path, monkeypatch):
         # The baseline is the only state solve of the harness itself; each
         # run's trajectory comes from cg_solve's report.
@@ -534,6 +570,16 @@ class TestRunExperiment:
         assert summary["uncontrolled_terminal_norm"] == _fmt(converged.uncontrolled_terminal_norm)
         assert blown.run_dir == earlier
         assert not any((blown.run_dir / name).exists() for name in data_files)
+
+    def test_refuses_other_counts_of_its_kind_in_the_directory(self, tmp_path):
+        run_experiment(small_spec(tmp_path, counts=(2, 5)))
+        files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        (tmp_path / "sine_10").mkdir()  # no summary.txt, so no run
+        with pytest.raises(ConfigurationError, match="sine_5$"):
+            run_experiment(small_spec(tmp_path, counts=(2,)))
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+        pulse = InitialCondition(kind="pulse", amplitude=1.0, support=(0.4, 0.6))
+        assert [row.M for row in run_experiment(small_spec(tmp_path, ic=pulse, counts=(2,)))] == [2]
 
     def test_refuses_severely_unstable_grid(self, tmp_path):
         spec = small_spec(tmp_path / "out", mu=1.0, N=2000, H=50)

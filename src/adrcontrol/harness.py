@@ -19,7 +19,7 @@ import re
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,6 +50,9 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+_KINDS = ("pulse", "sine")
+
+
 @dataclass(frozen=True)
 class InitialCondition:
     """Benchmark initial profiles.
@@ -65,7 +68,7 @@ class InitialCondition:
     support: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in ("pulse", "sine"):
+        if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown initial condition kind {self.kind!r}")
         if not (isinstance(self.amplitude, (int, float)) and math.isfinite(self.amplitude)):
             raise ConfigurationError("amplitude must be a finite number")
@@ -167,27 +170,36 @@ def _terminal_norm(grid, terminal):
 # Without a 64-bit long double significand every value takes the fallback.
 _WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
 _EXPONENTS = np.arange(-282, 283)  # X of 1e-280..1e280, one more each way for a miss or a carry
-_POW10 = np.fromstring(" ".join(f"1e{16 - x}" for x in _EXPONENTS.tolist()), np.longdouble, sep=" ")
-_MARGIN = np.where((_EXPONENTS >= -11) & (_EXPONENTS <= 16), 0.0, 2.0**-5)
 
 # A value's text takes 48 bytes: byte 0 the sign, 1-5 the "0." and leading
 # zeros of fixed notation below 1, 6 + 2i digit i and 7 + 2i the slot for a
 # point after it, 40-44 the exponent, 47 the newline; absent bytes are NUL.
 # As six uint64 words, words 1-4 hold four digits each.
 _VALUE_BYTES = 48
-_spaced = np.zeros((10000, 8), np.uint8)
-_spaced[:, 0::2] = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(48)
-_DIGIT_WORDS = _spaced.view(np.uint64).ravel()  # "0000".."9999", each digit followed by a NUL
-_trimmed = _spaced.copy()
-for _col in (6, 4, 2, 0):  # a "0" that no digit follows is a trailing zero
-    _trimmed[(_trimmed[:, _col] == ord("0")) & ~_trimmed[:, _col + 1 :].any(1), _col] = 0
-_TRIMMED_WORDS = _trimmed.view(np.uint64).ravel()  # the same with trailing zeros NUL
 
 
-def _value_templates():
-    """Per exponent: the bytes of a value's text that depend on X alone,
-    and the digit after which the point goes (negative: before them all)."""
+class _Tables(NamedTuple):
+    pow10: np.ndarray  # 10**(16 - X) per exponent, in long double
+    margin: np.ndarray  # per exponent, how far from 1/2 a fraction must lie to be trusted
+    digit_words: np.ndarray  # "0000".."9999", each digit followed by a NUL
+    trimmed_words: np.ndarray  # the same with trailing zeros NUL
+    templates: np.ndarray  # per exponent, the words of a value's text that depend on X alone
+    point: np.ndarray  # per exponent, the digit after which the point goes (negative: before all)
+
+
+@functools.cache
+def _tables():
+    """The formatter's tables, built on the first call: a run that writes no
+    CSV allocates none of them."""
     x = _EXPONENTS
+    pow10 = np.fromstring(" ".join(f"1e{16 - e}" for e in x.tolist()), np.longdouble, sep=" ")
+    margin = np.where((x >= -11) & (x <= 16), 0.0, 2.0**-5)
+    spaced = np.zeros((10000, 8), np.uint8)
+    spaced[:, 0::2] = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(48)
+    trimmed = spaced.copy()
+    for col in (6, 4, 2, 0):  # a "0" that no digit follows is a trailing zero
+        trimmed[(trimmed[:, col] == ord("0")) & ~trimmed[:, col + 1 :].any(1), col] = 0
+
     fixed = (x >= -4) & (x < 17)
     point = np.where(fixed, x, 0)
     text = np.zeros((len(x), _VALUE_BYTES), np.uint8)
@@ -200,20 +212,25 @@ def _value_templates():
     dotted = np.flatnonzero((point >= 0) & (point < 16))
     text[dotted, 7 + 2 * point[dotted]] = ord(".")
     text[:, -1] = ord("\n")
-    return text.view(np.uint64), point.astype(np.int8)
-
-
-_TEMPLATES, _POINT = _value_templates()
+    return _Tables(
+        pow10=pow10,
+        margin=margin,
+        digit_words=spaced.view(np.uint64).ravel(),
+        trimmed_words=trimmed.view(np.uint64).ravel(),
+        templates=text.view(np.uint64),
+        point=point.astype(np.int8),
+    )
 
 
 def _value_text(x):
     """``"%.17g\\n" % v`` of each double v in x, as NUL-padded 48-byte rows."""
+    t = _tables()
     a = np.abs(x)
     ok = (a > 1e-280) & (a < 1e280)
     a[~ok] = 1.0
     X = np.floor(np.log10(a)).astype(np.int16) - _EXPONENTS[0]
     a = a.astype(np.longdouble)
-    p = a * _POW10.take(X)
+    p = a * t.pow10.take(X)
     D = p.astype(np.int64)
     # log10 can miss X by one next to a power of ten.  After one correction
     # D has 17 digits, or p's error made it 10**16 - 1 or 10**17, which
@@ -221,11 +238,11 @@ def _value_text(x):
     off = (D >= 10**17).astype(np.int16) - (D < 10**16)
     redo = np.flatnonzero(off)
     X[redo] += off[redo]
-    p[redo] = a[redo] * _POW10.take(X[redo])
+    p[redo] = a[redo] * t.pow10.take(X[redo])
     D[redo] = p[redo].astype(np.int64)
     p -= D
     frac = p.astype(np.float64)  # exact: p < 2**57 has at most 10 fraction bits
-    trust = ok & (np.abs(frac - 0.5) > _MARGIN.take(X))
+    trust = ok & (np.abs(frac - 0.5) > t.margin.take(X))
     trust &= _WIDE_LONG_DOUBLE
     D += frac > 0.5
     carry = D == 10**17
@@ -237,23 +254,23 @@ def _value_text(x):
     lo = (D - top * 10**8).astype(np.int32)  # digits 9-16
     lead, q, r = hi // 10**8, hi // 10**4, lo // 10**4
     groups = (q - lead * 10**4, hi - q * 10**4, r, lo - r * 10**4)  # digits 1-4 .. 13-16
-    words = _TEMPLATES.take(X, axis=0)
+    words = t.templates.take(X, axis=0)
     for j, g in enumerate(groups[:3]):
-        words[:, j + 1] |= _DIGIT_WORDS.take(g)
+        words[:, j + 1] |= t.digit_words.take(g)
     # %g strips trailing zeros after the point, and the point if bare.  The
     # trimmed words do it where digits 13-16 follow the point and are not all
     # 0; the rest keep the slots up to the last nonzero digit or the point.
     g = groups[3]
-    words[:, 4] |= _TRIMMED_WORDS.take(g)
-    rest = np.flatnonzero((g == 0) | (_POINT.take(X) > 12))
-    words[rest, 4] |= _DIGIT_WORDS.take(g[rest])
+    words[:, 4] |= t.trimmed_words.take(g)
+    rest = np.flatnonzero((g == 0) | (t.point.take(X) > 12))
+    words[rest, 4] |= t.digit_words.take(g[rest])
     text = words.view(np.uint8)
     text[:, 6] = lead + 48
     text[:, 0] = np.signbit(x) * np.uint8(ord("-"))
     z = rest[g[rest] % 10 == 0]
     body = text[z, 6:40]
     last = 16 - np.argmax(body[:, -2::-2] != ord("0"), axis=1)
-    body[np.arange(34) > 2 * np.maximum(last, _POINT[X[z]])[:, None]] = 0
+    body[np.arange(34) > 2 * np.maximum(last, t.point[X[z]])[:, None]] = 0
     text[z, 6:40] = body
 
     slow = np.flatnonzero(~trust)
@@ -380,24 +397,29 @@ def _run_count(spec, problem, y0, shared):
     return row
 
 
+_RUN_DIR = re.compile(f"({'|'.join(_KINDS)})_[1-9][0-9]*")
+
+
 def run_experiment(spec):
     """Run the optimizer once per control count and write all output files.
 
     Returns one ExperimentSummary per control count, in the order requested.
     check_stability applies the stability policy first, so a refused grid
     raises ConfigurationError before any solve, as does an earlier run's
-    ``<kind>_<M>/summary.txt`` in output_dir for a count M not requested.
-    A solver failure is recorded in its run's row, status "blow_up" or
-    "curvature_loss" (the exception's ``status``), and does not abort the
-    remaining runs.  At most one count's trajectories are held at a time.
+    ``<kind>_<M>/summary.txt`` in output_dir for a kind or count M this
+    run does not request.  A solver failure is recorded in its run's row,
+    status "blow_up" or "curvature_loss" (the exception's ``status``), and
+    does not abort the remaining runs.  At most one count's trajectories
+    are held at a time.
     """
     base_grid = spec.problem.grid
     ratio = check_stability(spec.problem)
     kind = spec.ic.kind
-    names = (path.parent.name for path in spec.output_dir.glob(f"{kind}_*/summary.txt"))
-    counts = {int(n[len(kind) + 1 :]) for n in names if re.fullmatch(f"{kind}_[1-9][0-9]*", n)}
-    if stale := ", ".join(f"{kind}_{m}" for m in sorted(counts - set(spec.control_counts))):
-        raise ConfigurationError(f"{spec.output_dir} holds runs of counts not requested: {stale}")
+    names = (path.parent.name for path in spec.output_dir.glob("*_*/summary.txt"))
+    runs = {(k, int(m)) for k, m in (n.split("_") for n in names if _RUN_DIR.fullmatch(n))}
+    runs -= {(kind, m) for m in spec.control_counts}
+    if stale := ", ".join(f"{k}_{m}" for k, m in sorted(runs)):
+        raise ConfigurationError(f"{spec.output_dir} holds runs this run does not request: {stale}")
     y0 = make_initial_condition(spec.ic, base_grid)
 
     # The uncontrolled baseline does not involve controls, so one solve

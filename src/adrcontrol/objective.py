@@ -73,4 +73,6 @@ def gradient(problem, control, adjoint):
     be the gradient at v; the formula itself is affine in (v, p).
     """
     shape = (problem.grid.M + 1, problem.grid.N + 1)
-    return ControlField(problem.phys.k0 * control.checked(shape) + adjoint.checked(shape))
+    grad = np.multiply(problem.phys.k0, control.checked(shape))
+    grad += adjoint.checked(shape)  # in place: one array, the same two roundings
+    return ControlField(grad)

@@ -3,8 +3,10 @@
 The reduced objective is an affine-quadratic in the control field.  At
 eps = 0 the classical CG recurrences apply verbatim once matrix-vector
 products are read as "run the perturbation solver, then its adjoint"; at
-eps != 0 that A is not symmetric (relative asymmetry 5.3e-3 at H = 100,
-M = 4, eps = 0.1).  One iteration costs one forward and one backward sweep.
+eps != 0 that A is not symmetric: at H = 100, M = 4, eps = 0.1 the relative
+asymmetry |<Aw1,w2> - <w1,Aw2>| / |<Aw1,w2>| of two standard normal
+directions reads 5.3e-3, 4.9e-4 and 8.9e-5 for numpy seeds 0, 1 and 2.  One
+iteration costs one forward and one backward sweep.
 
 Starting from u = 0 with gradient g and direction w = g:
 
@@ -15,11 +17,14 @@ Starting from u = 0 with gradient g and direction w = g:
     restart     gamma = <g+, g+> / <g, g>,  w <- g+ + gamma*w
 
 Per iteration CG holds two trajectories, the state y and the perturbation
-dy, each (H+1) x (N+2), and the M+1 adjoint traces the gradient reads,
-(M+1) x (N+1) values: solve_adjoint marches every node but stores only the
-control rows.  The stored state trajectory is updated incrementally by
-linearity (y <- y - rho*dy), which prices the per-iteration cost report at
-no extra solves.  The report hands that trajectory back as
+dy, each (H+1) x (N+2), and control vectors of (M+1) x (N+1) values: u, w
+and grad live through both sweeps, and the previous A w is released before
+them.  The adjoint traces, A w and the temporaries of the updates add at
+most two more, five in all.  solve_adjoint marches every node but stores only
+the M+1 control rows the gradient reads.  The stored state trajectory is
+updated incrementally by linearity (y <- y - rho*dy), which prices the
+per-iteration cost report at no extra solves.  The report hands that
+trajectory back as
 ``CGReport.state``: it is the state at the returned control up to rounding
 (over the nine H = 100 acceptance solves it differs from a fresh
 solve_state by at most 3.3e-15 of its largest magnitude), so callers need
@@ -139,7 +144,7 @@ def cg_solve(problem, y0, config=None):
     gg = gg0
     for m in range(iterations):
         direction = ControlField(w)
-        dy = None  # release the previous perturbation before the next is allocated
+        dy = aw = None  # release the previous iteration's arrays before the sweeps
         dy = solve_perturbation(problem, direction)
         aw = gradient(problem, direction, solve_adjoint(problem, dy))
         curvature = inner_product(g, aw, direction)

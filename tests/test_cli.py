@@ -241,6 +241,18 @@ class TestRun:
         assert err.startswith("error: invalid configuration") and err.endswith("sine_5\n")
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
 
+    def test_run_directory_of_another_kind_is_refused(self, tmp_path, capsys):
+        # A pulse run would otherwise write its comparison.csv over the sine
+        # run's beside the sine run's rows.
+        grid = ["run", "--H", "10", "--N", "50", "--M", "2", "--M", "5", "--out", str(tmp_path)]
+        assert main([*grid, "--ic", "sine"]) == 0
+        files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main([*grid, "--ic", "pulse"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration") and err.endswith("sine_2, sine_5\n")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+
     def test_refused_grid_exit_code(self, tmp_path, capsys):
         rc = main([
             "run", "--ic", "pulse", "--mu", "1", "--H", "50", "--N", "2000",

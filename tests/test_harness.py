@@ -1,6 +1,11 @@
 import dataclasses
+import functools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,8 +262,12 @@ class TestValueText:
         # Without a 64-bit long double significand nothing is trusted, so
         # even wrong digit tables leave the text exact.
         monkeypatch.setattr(harness, "_WIDE_LONG_DOUBLE", False)
-        monkeypatch.setattr(harness, "_DIGIT_WORDS", np.zeros_like(harness._DIGIT_WORDS))
-        monkeypatch.setattr(harness, "_TRIMMED_WORDS", np.zeros_like(harness._TRIMMED_WORDS))
+        tables = harness._tables()
+        wrong = tables._replace(
+            digit_words=np.zeros_like(tables.digit_words),
+            trimmed_words=np.zeros_like(tables.trimmed_words),
+        )
+        monkeypatch.setattr(harness, "_tables", lambda: wrong)
         rng = np.random.default_rng(15)
         values = rng.standard_normal(10_000) * 10.0 ** rng.integers(-20, 20, 10_000)
         assert_formats_as_percent(values)
@@ -272,11 +281,43 @@ class TestValueText:
         not harness._WIDE_LONG_DOUBLE, reason="the table is only read with a 64-bit significand"
     )
     def test_powers_of_ten_are_correctly_rounded(self):
-        for x, power in zip(harness._EXPONENTS.tolist(), harness._POW10):
+        for x, power in zip(harness._EXPONENTS.tolist(), harness._tables().pow10):
             mantissa, exponent = np.frexp(power)
             m, e = int(np.ldexp(mantissa, 64)), int(exponent) - 64
             exact = Fraction(10) ** (16 - x)
             assert abs(Fraction(m) * Fraction(2) ** e - exact) <= Fraction(2) ** e / 2, x
+
+    def test_importing_and_solving_build_no_tables(self):
+        # A run that writes no CSV, such as cg_solve alone, allocates none of
+        # the formatter's tables, import included.
+        script = (
+            "from adrcontrol import harness, cg_solve, InitialCondition, make_initial_condition\n"
+            "from adrcontrol import DiscreteProblem, PhysicalConfig\n"
+            "p = DiscreteProblem.create(PhysicalConfig(), N=50, H=10, M=2)\n"
+            "y0 = make_initial_condition(InitialCondition('sine', frequency=1), p.grid)\n"
+            "cg_solve(p, y0)\n"
+            "print(harness._tables.cache_info().misses)\n"
+        )
+        src = str(Path(harness.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+        )
+        assert proc.stdout == "0\n"
+
+    def test_the_first_write_builds_the_tables_once(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(harness, "_tables", functools.cache(harness._tables.__wrapped__))
+        p = small_problem(N=7, H=6, M=3)
+        cg_solve(p, make_initial_condition(InitialCondition("sine", frequency=1), p.grid))
+        assert harness._tables.cache_info().misses == 0
+        state = StateField(TestWriters().values((7, 9), 1))
+        write_state_csv(tmp_path / "state.csv", p, state)
+        write_controls_csv(tmp_path / "controls.csv", p, ControlField(np.ones((4, 8))))
+        info = harness._tables.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
+        reference_state_csv(tmp_path / "ref.csv", p, state)
+        assert (tmp_path / "state.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_memory_stays_bounded_on_a_full_trajectory(self, tmp_path):
         # write_state_csv formats blocks of about 2**13 values, about 2 MB
@@ -578,8 +619,11 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="sine_5$"):
             run_experiment(small_spec(tmp_path, counts=(2,)))
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+        # Another kind's runs are refused too: they share comparison.csv.
         pulse = InitialCondition(kind="pulse", amplitude=1.0, support=(0.4, 0.6))
-        assert [row.M for row in run_experiment(small_spec(tmp_path, ic=pulse, counts=(2,)))] == [2]
+        with pytest.raises(ConfigurationError, match="sine_2, sine_5$"):
+            run_experiment(small_spec(tmp_path, ic=pulse, counts=(2,)))
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
 
     def test_refuses_severely_unstable_grid(self, tmp_path):
         spec = small_spec(tmp_path / "out", mu=1.0, N=2000, H=50)

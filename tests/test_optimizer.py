@@ -134,6 +134,17 @@ class TestPeakMemory:
         assert report.status == STATUS_CONVERGED
         assert peak <= 2.6 * report.state.values.nbytes
 
+    def test_sweeps_hold_no_dead_control_vector(self):
+        # With M = H a control vector is about one trajectory, so each one
+        # alive through a sweep shows.  Both sweeps run with u, w and grad
+        # alive; the adjoint traces, A w and the updates' temporaries add at
+        # most two more.  Keeping the last A w through the sweeps read 6.18.
+        p = default_problem(H=100, M=100)
+        y0 = make_initial_condition(InitialCondition("sine", frequency=5), p.grid)
+        (u, report), peak = traced_peak(cg_solve, p, y0)
+        assert report.status == STATUS_CONVERGED
+        assert peak <= 2 * report.state.values.nbytes + 5.5 * u.values.nbytes
+
 
 class TestIterationPins:
     # Iteration counts do not drift with the host, unlike times: a change

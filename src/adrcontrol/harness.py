@@ -327,12 +327,14 @@ def _write_levels(path, header, grid, nodes, levels):
 
 def write_state_csv(path, problem, state):
     g = problem.grid
-    _write_levels(path, "n,t,j,x,y\n", g, range(g.H + 1), state.values.T)
+    y = state.checked((g.H + 1, g.N + 2))
+    _write_levels(path, "n,t,j,x,y\n", g, range(g.H + 1), y.T)
 
 
 def write_controls_csv(path, problem, control):
     g = problem.grid
-    _write_levels(path, "n,t,k,x_k,v\n", g, control_indices(g), control.values.T)
+    v = control.checked((g.M + 1, g.N + 1))
+    _write_levels(path, "n,t,k,x_k,v\n", g, control_indices(g), v.T)
 
 
 def write_convergence_csv(path, report):

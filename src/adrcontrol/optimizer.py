@@ -128,22 +128,23 @@ def cg_solve(problem, y0, config=None):
     g = problem.grid
     max_iter = resolve_max_iter(config, g)
 
-    u = np.zeros((g.M + 1, g.N + 1))
-    state = solve_state(problem, y0, ControlField(u))
+    control = ControlField.zeros(g)  # wrapped once: u is updated in place
+    u = control.values
+    state = solve_state(problem, y0, control)
     y = state.values  # updated in place by linearity
-    grad = gradient(problem, ControlField(u), solve_adjoint(problem, state))
+    grad = gradient(problem, control, solve_adjoint(problem, state))
 
     gg0 = inner_product(g, grad, grad)
-    cost_history = [cost(problem, ControlField(u), state)]
+    cost_history = [cost(problem, control, state)]
     # A vanishing initial gradient makes u = 0 exact: the loop runs zero times.
     if gg0 == 0.0:
         status, iterations, ratio_history = STATUS_TRIVIAL, 0, [0.0]
     else:
         status, iterations, ratio_history = STATUS_MAX_ITER, max_iter, [1.0]
-    w = grad.values.copy()
+    direction = ControlField(grad.values.copy())
+    w = direction.values
     gg = gg0
     for m in range(iterations):
-        direction = ControlField(w)
         dy = aw = None  # release the previous iteration's arrays before the sweeps
         dy = solve_perturbation(problem, direction)
         aw = gradient(problem, direction, solve_adjoint(problem, dy))
@@ -157,7 +158,7 @@ def cg_solve(problem, y0, config=None):
         np.subtract(grad.values, rho * aw.values, out=grad.values)
         gg_next = inner_product(g, grad, grad)
 
-        cost_history.append(cost(problem, ControlField(u), state))
+        cost_history.append(cost(problem, control, state))
         ratio = gg_next / gg0
         ratio_history.append(ratio)
         if ratio < config.tol**2:
@@ -175,4 +176,4 @@ def cg_solve(problem, y0, config=None):
         grad_ratio_history=tuple(ratio_history),
         state=state,
     )
-    return ControlField(u), report
+    return control, report

@@ -43,13 +43,16 @@ only the control nodes of each level are written.
 
 The kernel splits the levels into blocks of GUARD_BLOCK and marches the
 blocks side by side, one row per block of one contiguous carry array.  A
-batched step is one ``np.correlate`` over the flattened rows; the
-boundary columns, which it mixes with the neighbouring rows, are then
-recomputed with the ghost nodes (index -1 and H+1) set to gain*edge.  The
-step is linear, x -> A x, so the true level s_b before block b is the
+step is linear, x -> A x, and A is one tuple (lo, mid, hi, left, right):
+the ghost nodes (index -1 and H+1) gain*edge fold into the edge diagonals
+left = mid + lo*gain and right = mid + hi*gain, and A^T is the same tuple
+with lo and hi swapped, so one step function applies both.  A batched
+step is one ``np.correlate`` over the flattened rows; the boundary
+columns, which it mixes with the neighbouring rows, are then recomputed
+from the edge diagonals.  The true level s_b before block b is the
 zero-start end of block b-1 plus A^GUARD_BLOCK s_(b-1): the ends are
-carried through a dense (A^T)^GUARD_BLOCK, computed once per stencil,
-gains and width.  Each block is marched once, and what a second pass
+carried through a dense (A^T)^GUARD_BLOCK, computed once per operator
+and width.  Each block is marched once, and what a second pass
 would add is priced through the M+1 control rows, chosen by what the
 sweep stores:
 
@@ -65,7 +68,7 @@ sweep stores:
   these levels are written and each level's extremes noted.  After the
   carry, level i of block b gains the response of its true start at the
   kept nodes, s_b (A^T)^(i+1)[:, keep], whose columns are the kept unit
-  rows stepped by the transposed stencil.  The guard passes when
+  rows stepped by A^T.  The guard passes when
   max|particular| + ||A||_inf^GUARD_BLOCK max|s_b| <= BLOWUP_LIMIT, a
   bound on |x| at every node and level that not a number fails.  Where it
   does not clear, the exact march decides: every block again from its
@@ -168,66 +171,55 @@ class AdjointField(_Field):
     the node carrying control k = 0..M."""
 
 
-def _stencil(problem, advection_sign):
-    """Weights (lo, mid, hi) of x + dt*(mu*D2 x + advection_sign*eps*D+ x + x).
+def _operator(problem, advection_sign, gains=(1.0, 1.0)):
+    """A of x + dt*(mu*D2 x + advection_sign*eps*D+ x + x), with the ghosts
+    gains[0]*x[0] and gains[1]*x[H], as (lo, mid, hi, left, right).
 
     D2 is the centred second difference and D+ the forward difference
     (x[j+1] - x[j])/h; the state has advection_sign -1, the adjoint +1.
+    A^T is ``op[2::-1] + op[3:]``.
     """
     g, p = problem.grid, problem.phys
     diffusion = p.mu / g.h**2
     advection = advection_sign * p.eps / g.h
-    return (
-        g.dt * diffusion,
-        1.0 + g.dt * (1.0 - 2.0 * diffusion - advection),
-        g.dt * (diffusion + advection),
-    )
+    lo = g.dt * diffusion
+    mid = 1.0 + g.dt * (1.0 - 2.0 * diffusion - advection)
+    hi = g.dt * (diffusion + advection)
+    return lo, mid, hi, mid + lo * gains[0], mid + hi * gains[1]
 
 
-def _step(x, stencil, gains):
+def _step(x, op):
     """A applied to every row of x, as a new array.
 
     One ``np.correlate`` over the flattened rows gives every interior node;
     the two boundary columns, which it mixes with the neighbouring rows, are
-    recomputed with the ghosts gains[0]*x[:, 0] and gains[1]*x[:, -1].
-    One row of two nodes (H = 1) gets one value too many from the
-    correlation; both its columns are boundary columns, so it is cut off.
+    recomputed from the edge diagonals.  One row of two nodes (H = 1) gets
+    one value too many from the correlation; both its columns are boundary
+    columns, so it is cut off.
     """
-    lo, mid, hi = stencil
-    y = np.correlate(x.ravel(), stencil, "same")[: x.size].reshape(x.shape)
-    y[:, 0] = lo * (gains[0] * x[:, 0]) + mid * x[:, 0] + hi * x[:, 1]
-    y[:, -1] = lo * x[:, -2] + mid * x[:, -1] + hi * (gains[1] * x[:, -1])
+    lo, _, hi, left, right = op
+    y = np.correlate(x.ravel(), op[:3], "same")[: x.size].reshape(x.shape)
+    y[:, 0] = left * x[:, 0] + hi * x[:, 1]
+    y[:, -1] = lo * x[:, -2] + right * x[:, -1]
     return y
 
 
-def _step_transposed(x, stencil, gains):
-    """A^T applied to every row of x, as a new array: the stencil (hi, mid,
-    lo), and at the edges the ghost weights lo*gains[0] and hi*gains[1],
-    added apart because hi may be 0."""
-    lo, mid, hi = stencil
-    y = np.correlate(x.ravel(), (hi, mid, lo), "same")[: x.size].reshape(x.shape)
-    y[:, 0] = (mid + lo * gains[0]) * x[:, 0] + lo * x[:, 1]
-    y[:, -1] = hi * x[:, -2] + (mid + hi * gains[1]) * x[:, -1]
-    return y
-
-
-def _norm(stencil, gains):
+def _norm(op):
     """||A||_inf, the largest absolute row sum of A, as a numpy float so
     that a power of it overflows to inf instead of raising."""
-    lo, mid, hi = stencil
-    edges = abs(lo * gains[0] + mid) + abs(hi), abs(lo) + abs(mid + hi * gains[1])
-    return np.float64(max(abs(lo) + abs(mid) + abs(hi), *edges))
+    lo, mid, hi, left, right = op
+    return np.float64(max(abs(lo) + abs(mid) + abs(hi), abs(left) + abs(hi), abs(lo) + abs(right)))
 
 
 @functools.lru_cache(maxsize=8)
-def _power(stencil, gains, width, block):
-    """The dense (A^T)^block of a sweep kind, read-only."""
-    power = np.linalg.matrix_power(_step(np.eye(width), stencil, gains), block)
+def _power(op, width, block):
+    """The dense (A^T)^block of an operator, read-only."""
+    power = np.linalg.matrix_power(_step(np.eye(width), op), block)
     power.setflags(write=False)
     return power
 
 
-def _add_ends(ends, forcing, stencil, gains, block):
+def _add_ends(ends, forcing, op, block):
     """Add to row b of ``ends`` the end of block b marched from zero under
     ``forcing``: its (block, M+1) inputs times the weighted unit rows of
     their nodes stepped to the block's end, MAP_CHUNK levels per product.
@@ -242,16 +234,17 @@ def _add_ends(ends, forcing, stencil, gains, block):
         chunk = c[:, j : j + MAP_CHUNK]
         for m in maps[: chunk.shape[1]]:
             m[...] = unit
-            unit = _step(unit, stencil, gains)
+            unit = _step(unit, op)
         ends += chunk.reshape(len(ends), -1) @ maps[: chunk.shape[1]].reshape(-1, ends.shape[1])
 
 
-def _add_responses(levels, keep, starts, stencil, gains, block):
+def _add_responses(levels, keep, starts, op, block):
     """Add to level i of block b >= 1 the response of its true start s_b,
     s_b (A^T)^(i+1)[:, keep], whose columns are the kept unit rows stepped
     i+1 times by A^T; row b-1 of ``starts`` is s_b.  Each kept node's
     products are BLAS calls of their own, so its values do not depend on
     how many nodes are kept."""
+    transposed = op[2::-1] + op[3:]
     depth = MAP_CHUNK // 2  # levels per product
     for k in range(0, len(keep), MAP_CHUNK):
         nodes = slice(k, k + MAP_CHUNK)
@@ -260,7 +253,7 @@ def _add_responses(levels, keep, starts, stencil, gains, block):
         maps = np.empty((len(unit), depth, starts.shape[1]))
         for j in range(0, block, depth):
             for m in range(depth):
-                unit = _step_transposed(unit, stencil, gains)
+                unit = _step(unit, transposed)
                 maps[:, m] = unit
             response = starts @ maps.transpose(0, 2, 1)
             for m in range(min(depth, block - j)):
@@ -268,7 +261,7 @@ def _add_responses(levels, keep, starts, stencil, gains, block):
                 rows += response[:, : len(rows), m].T
 
 
-def _levels(starts, levels, keep, stencil, gains, forcing, block):
+def _levels(starts, levels, keep, op, forcing, block):
     """March block b of ``levels`` from row b of ``starts`` under
     ``forcing``, writing the kept nodes of each level; a short last block
     drops out of the carry when it ends.  Yields (i, min, max) over level i
@@ -278,7 +271,7 @@ def _levels(starts, levels, keep, stencil, gains, forcing, block):
     x = starts
     for i in range(min(block, len(levels))):
         rows = levels[i::block]
-        x = _step(x[: len(rows)], stencil, gains)
+        x = _step(x[: len(rows)], op)
         x[:, nodes] += weights * v[:, i::block].T
         yield i, x.min(), x.max()
         rows[...] = x[:, keep]
@@ -286,14 +279,13 @@ def _levels(starts, levels, keep, stencil, gains, forcing, block):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _march(start, levels, keep, stencil, gains, forcing, block):
+def _march(start, levels, keep, op, forcing, block):
     """Fill ``levels`` by ``x[i+1] = A x[i] + forcing`` from ``x[0] = start``, in blocks.
 
     ``start`` is the (H+1,) level the march begins from; row i of the
     (steps, len(keep)) output ``levels`` is ``x[i+1][keep]``, so ``keep`` is
-    ``slice(None)`` for every node or a list of the nodes to store;
-    ``stencil`` is (lo, mid, hi); a level's left and right ghosts are
-    gains[0]*edge and gains[1]*edge; ``forcing`` is (nodes, weights, v),
+    ``slice(None)`` for every node or a list of the nodes to store; ``op``
+    is A as ``_operator`` gives it; ``forcing`` is (nodes, weights, v),
     one column of v per step, its nodes a list where ``keep`` is
     ``slice(None)``; ``block`` is the number of levels per block.
 
@@ -310,30 +302,30 @@ def _march(start, levels, keep, stencil, gains, forcing, block):
     # one that keeps a list of nodes adds the starts' response there.
     priced = isinstance(keep, slice)
     if blocks > 1:
-        power = _power(stencil, gains, width, block)
+        power = _power(op, width, block)
         if priced:
-            _add_ends(starts[1:], forcing, stencil, gains, block)
+            _add_ends(starts[1:], forcing, op, block)
             starts[1] += start @ power
         else:
             # Every block from zero, block 0 from the start.
-            march = _levels(starts, levels, keep, stencil, gains, forcing, block)
+            march = _levels(starts, levels, keep, op, forcing, block)
             extremes = np.array([(low, high) for _, low, high in march])
         for b in range(2, blocks):
             starts[b] += starts[b - 1] @ power
         if not priced:
             # |x| <= max|particular| + ||A||_inf^(i+1) max|s_b| at level i of
             # a block, and ||A||_inf > 1 (its interior rows sum to 1 + dt).
-            growth = _norm(stencil, gains) ** block
+            growth = _norm(op) ** block
             if np.abs(extremes).max() + growth * np.abs(starts[1:]).max() <= BLOWUP_LIMIT:
-                _add_responses(levels, keep, starts[1:], stencil, gains, block)
+                _add_responses(levels, keep, starts[1:], op, block)
                 return None
     # Every block from its true start; level i+1 of each is guarded at every
     # node before its kept nodes are written.
-    for i, low, high in _levels(starts, levels, keep, stencil, gains, forcing, block):
+    for i, low, high in _levels(starts, levels, keep, op, forcing, block):
         if not (-BLOWUP_LIMIT <= low and high <= BLOWUP_LIMIT):
             if blocks == 1:
                 return i + 1
-            return _march(start, levels, keep, stencil, gains, forcing, steps)
+            return _march(start, levels, keep, op, forcing, steps)
     return None
 
 
@@ -369,14 +361,14 @@ def solve_state(problem, y0, control):
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
     v = control.checked((M + 1, N + 1))
-    lo, _, hi = stencil = _stencil(problem, -1.0)
+    lo, _, hi, _, _ = op = _operator(problem, -1.0)
     weights = np.full(M + 1, dt / h)
     weights[0], weights[M] = lo * (h / mu), hi * (h / mu)
     # Time-major work array: work[n, j] is node j at time level n.
     work = np.empty((N + 2, H + 1))
     work[0] = y0
     forcing = (control_indices(g), weights, v)
-    bad = _march(y0, work[1:], slice(None), stencil, (1.0, 1.0), forcing, GUARD_BLOCK)
+    bad = _march(y0, work[1:], slice(None), op, forcing, GUARD_BLOCK)
     if bad is not None:
         raise SolverBlowUpError(step=bad)
     return StateField(work.T)
@@ -405,8 +397,7 @@ def solve_adjoint(problem, state):
     mu, eps = p.mu, p.eps
 
     y = state.checked((H + 1, N + 2))
-    left_gain = mu / (mu - eps * h)
-    right_gain = (mu - eps * h) / mu
+    op = _operator(problem, 1.0, (mu / (mu - eps * h), (mu - eps * h) / mu))
     keep = control_indices(g)
 
     # Marching index i is time level N - i; the step from it reads y[., N - i].
@@ -414,8 +405,7 @@ def solve_adjoint(problem, state):
     terminal = p.k2 * y[:, N + 1]
     work = np.empty((N + 1, g.M + 1))
     work[N] = terminal[keep]
-    stencil, gains = _stencil(problem, 1.0), (left_gain, right_gain)
-    bad = _march(terminal, work[-2::-1], keep, stencil, gains, forcing, GUARD_BLOCK)
+    bad = _march(terminal, work[-2::-1], keep, op, forcing, GUARD_BLOCK)
     if bad is not None:
         raise SolverBlowUpError(step=N - bad)
     return AdjointField(work.T)

@@ -150,6 +150,19 @@ class TestWriters:
                 fast, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
                 assert fast.read_bytes() == ref.read_bytes(), (N, T, name)
 
+    @pytest.mark.parametrize("N", [4, 10])
+    def test_field_of_another_grid_writes_no_file(self, tmp_path, N):
+        # Same H and M, another N: without the check the control file would
+        # hold the other grid's rows under this grid's times.
+        p = small_problem(N=7, H=6, M=3)
+        state = StateField(self.values((7, N + 2), 1))
+        control = ControlField(self.values((4, N + 1), 2))
+        with pytest.raises(ValueError):
+            write_state_csv(tmp_path / "state.csv", p, state)
+        with pytest.raises(ValueError):
+            write_controls_csv(tmp_path / "controls.csv", p, control)
+        assert list(tmp_path.iterdir()) == []
+
 
 def percent_text(values):
     """The reference: one ``"%.17g" %`` per value, one line each."""

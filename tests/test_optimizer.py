@@ -145,6 +145,18 @@ class TestPeakMemory:
         assert report.status == STATUS_CONVERGED
         assert peak <= 2 * report.state.values.nbytes + 5.5 * u.values.nbytes
 
+    def test_wraps_each_control_array_once(self, monkeypatch):
+        # Each ControlField scans its array for finiteness.  CG wraps u and w
+        # once and the gradient wraps the first gradient and each A w: k + 3
+        # for k iterations.  Re-wrapping u and w every iteration read 3k + 5.
+        wraps = []
+        check = ControlField.__post_init__
+        monkeypatch.setattr(ControlField, "__post_init__", lambda self: wraps.append(1) or check(self))
+        p = make_problem(N=60, H=10, M=5)
+        u, report = cg_solve(p, bump(p), CGConfig(tol=1e-12, max_iter=3))
+        assert report.iterations == 3 and np.any(u.values != 0.0)
+        assert len(wraps) <= report.iterations + 3
+
 
 class TestIterationPins:
     # Iteration counts do not drift with the host, unlike times: a change

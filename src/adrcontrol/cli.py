@@ -30,6 +30,7 @@ from .errors import ConfigurationError
 from .harness import (
     ExperimentSpec,
     InitialCondition,
+    _KINDS,
     _fmt,
     compare_controls,
     run_experiment,
@@ -84,7 +85,7 @@ def build_parser():
 
     run = sub.add_parser("run", help="solve one experiment across control counts")
     _add_problem_args(run)
-    run.add_argument("--ic", choices=("pulse", "sine"), default="pulse", help="initial condition")
+    run.add_argument("--ic", choices=_KINDS, default="pulse", help="initial condition")
     run.add_argument("--amplitude", type=float, help="profile amplitude (default %(default)s)")
     run.add_argument(
         "--frequency",

@@ -63,12 +63,12 @@ sweep stores:
   checked against the guard |x| <= BLOWUP_LIMIT at every node while it is
   still in the carry, then written; a short last block leaves the carry
   when its levels run out, so nothing past the end is marched.
-- A list of nodes (adjoint): every block is marched once from zero, block
-  0 from the terminal level, so the state is read once; the kept nodes of
-  these levels are written and each level's extremes noted.  After the
-  carry, level i of block b gains the response of its true start at the
-  kept nodes, s_b (A^T)^(i+1)[:, keep], whose columns are the kept unit
-  rows stepped by A^T.  The guard passes when
+- A list of nodes (adjoint): every block is marched once from zero, so
+  the state is read once; the kept nodes of these levels are written and
+  each level's extremes noted.  After the carry, level i of every block b
+  gains the response of its block start at the kept nodes,
+  s_b (A^T)^(i+1)[:, keep], whose columns are the kept unit rows stepped
+  by A^T; s_0 is the terminal level.  The guard passes when
   max|particular| + ||A||_inf^GUARD_BLOCK max|s_b| <= BLOWUP_LIMIT, a
   bound on |x| at every node and level that not a number fails.  Where it
   does not clear, the exact march decides: every block again from its
@@ -239,11 +239,11 @@ def _add_ends(ends, forcing, op, block):
 
 
 def _add_responses(levels, keep, starts, op, block):
-    """Add to level i of block b >= 1 the response of its true start s_b,
-    s_b (A^T)^(i+1)[:, keep], whose columns are the kept unit rows stepped
-    i+1 times by A^T; row b-1 of ``starts`` is s_b.  Each kept node's
-    products are BLAS calls of their own, so its values do not depend on
-    how many nodes are kept."""
+    """Add to level i of block b the response of its true start s_b, row b
+    of ``starts``: s_b (A^T)^(i+1)[:, keep], whose columns are the kept unit
+    rows stepped i+1 times by A^T.  Each kept node's products are BLAS
+    calls of their own, so its values do not depend on how many nodes are
+    kept."""
     transposed = op[2::-1] + op[3:]
     depth = MAP_CHUNK // 2  # levels per product
     for k in range(0, len(keep), MAP_CHUNK):
@@ -257,7 +257,7 @@ def _add_responses(levels, keep, starts, op, block):
                 maps[:, m] = unit
             response = starts @ maps.transpose(0, 2, 1)
             for m in range(min(depth, block - j)):
-                rows = levels[block + j + m :: block, nodes]
+                rows = levels[j + m :: block, nodes]
                 rows += response[:, : len(rows), m].T
 
 
@@ -295,30 +295,28 @@ def _march(start, levels, keep, op, forcing, block):
     """
     steps, width = len(levels), len(start)
     blocks = -(-steps // block)
-    # Row b of starts is the true level before block b.
+    # Row b of starts becomes the true level before block b.
     starts = np.zeros((blocks, width))
-    starts[0] = start
-    # A sweep that stores every node prices its block ends from the forcing;
-    # one that keeps a list of nodes adds the starts' response there.
+    # A sweep that stores every node prices the zero-start block ends; one
+    # that keeps a list of nodes marches them and adds the starts' responses.
     priced = isinstance(keep, slice)
     if blocks > 1:
         power = _power(op, width, block)
         if priced:
             _add_ends(starts[1:], forcing, op, block)
-            starts[1] += start @ power
         else:
-            # Every block from zero, block 0 from the start.
             march = _levels(starts, levels, keep, op, forcing, block)
             extremes = np.array([(low, high) for _, low, high in march])
-        for b in range(2, blocks):
-            starts[b] += starts[b - 1] @ power
-        if not priced:
-            # |x| <= max|particular| + ||A||_inf^(i+1) max|s_b| at level i of
-            # a block, and ||A||_inf > 1 (its interior rows sum to 1 + dt).
-            growth = _norm(op) ** block
-            if np.abs(extremes).max() + growth * np.abs(starts[1:]).max() <= BLOWUP_LIMIT:
-                _add_responses(levels, keep, starts[1:], op, block)
-                return None
+    starts[0] = start
+    for b in range(1, blocks):
+        starts[b] += starts[b - 1] @ power
+    if blocks > 1 and not priced:
+        # |x| <= max|particular| + ||A||_inf^(i+1) max|s_b| at level i of
+        # a block, and ||A||_inf > 1 (its interior rows sum to 1 + dt).
+        growth = _norm(op) ** block
+        if np.abs(extremes).max() + growth * np.abs(starts).max() <= BLOWUP_LIMIT:
+            _add_responses(levels, keep, starts, op, block)
+            return None
     # Every block from its true start; level i+1 of each is guarded at every
     # node before its kept nodes are written.
     for i, low, high in _levels(starts, levels, keep, op, forcing, block):

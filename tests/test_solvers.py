@@ -220,25 +220,35 @@ class TestSolveState:
         assert 0 in offsets and len(offsets) == 3
 
     def test_guard_reports_the_per_step_step_where_rounding_differs(self, monkeypatch):
-        # The blocked march differs from the per-step march in the last bits.
-        # With the limit at the per-step running peak on the first level where
-        # the blocked peak is higher, the blocked march crosses the limit on
-        # that level and the per-step march later: the later step is reported.
-        # Such a level exists only for some draws, since it hangs on the last
-        # bits of both marches: these signed controls give one (level 262),
-        # while their absolute values, and seeds 0-11 of those, give none.
+        # Where the blocked march rounds differently from the per-step march,
+        # a level can fail the guard in blocks and pass step by step.  Here
+        # level 5 of every march of several blocks reads inf: each sweep must
+        # redo itself as one block, whose result or step is the one reported.
         p = make_problem(N=400, H=10, M=2)
-        y0 = np.ones(11)
-        v = ControlField(np.random.default_rng(0).standard_normal((3, 401)))
-        blocked = solve_state(p, y0, v).values
+        rng = np.random.default_rng(0)
+        y0, v = np.ones(11), random_controls(p.grid, rng)
+        y = StateField(rng.standard_normal((11, p.grid.N + 2)))
         monkeypatch.setattr(solvers, "GUARD_BLOCK", p.grid.N + 1)  # one block
-        per_step = solve_state(p, y0, v).values
+        per_step = solve_state(p, y0, v).values, solve_adjoint(p, y).values
         monkeypatch.undo()
-        peak, blocked_peak = (np.maximum.accumulate(np.abs(y).max(axis=0)) for y in (per_step, blocked))
-        first = int(np.argmax(blocked_peak > peak))
-        assert blocked_peak[first] > peak[first]
-        monkeypatch.setattr(solvers, "BLOWUP_LIMIT", peak[first])
-        assert blow_up_step(solve_state, p, y0, v) == np.argmax(peak > peak[first]) > first
+        levels = solvers._levels
+
+        def tripping(starts, *args):
+            for i, low, high in levels(starts, *args):
+                yield i, low, np.inf if i == 5 and len(starts) > 1 else high
+
+        monkeypatch.setattr(solvers, "_levels", tripping)
+        assert np.array_equal(solve_state(p, y0, v).values, per_step[0])
+        assert np.array_equal(solve_adjoint(p, y).values, per_step[1])
+        p = unstable_problem()
+        y0 = np.zeros(51)
+        y0[20:31] = 0.3
+        v = ControlField.zeros(p.grid)
+        assert blow_up_step(solve_state, p, y0, v) == blow_up_step(reference_state, p, y0, v.values)
+        values = np.zeros((51, p.grid.N + 2))
+        values[20:31, -1] = 0.3
+        y = StateField(values)
+        assert blow_up_step(solve_adjoint, p, y) == blow_up_step(reference_adjoint, p, values)
 
     def test_deterministic_rerun(self):
         p = make_problem(N=30, H=6, M=2)
@@ -546,6 +556,19 @@ class TestOnePass:
         assert g.N - step > 2 * GUARD_BLOCK
         assert step == blow_up_step(reference_adjoint, p, values)
         assert marches == [GUARD_BLOCK, g.N]
+
+    @pytest.mark.parametrize("amplitude", [1e140, 1e145, 1e149])
+    def test_adjoint_blow_up_in_the_first_block(self, amplitude):
+        # Terminal data of alternating sign, the mode that grows fastest,
+        # overflow within the first block, which is marched from zero like
+        # every other block and gains the terminal level's response.
+        p = unstable_problem()
+        g = p.grid
+        values = np.zeros((51, g.N + 2))
+        values[:, -1] = amplitude * (-1.0) ** np.arange(51)
+        step = blow_up_step(solve_adjoint, p, StateField(values))
+        assert step == blow_up_step(reference_adjoint, p, values)
+        assert g.N - step < GUARD_BLOCK
 
     def test_exact_march_decides_where_the_bound_does_not_clear(self, monkeypatch):
         # With the limit just above the true peak, the bound, which adds the

@@ -46,6 +46,7 @@ EXIT_BLOWUP = 2
 EXIT_IO = 3
 
 DEFAULT_CONTROL_COUNTS = (2, 4, 10)
+DEFAULT_FREQUENCY = 5
 
 
 def _add_problem_args(parser):
@@ -90,8 +91,7 @@ def build_parser():
     run.add_argument(
         "--frequency",
         type=int,
-        default=5,
-        help="sine half-waves over the domain (default %(default)s)",
+        help=f"sine half-waves over the domain (default {DEFAULT_FREQUENCY})",
     )
     run.add_argument(
         "--support",
@@ -146,12 +146,12 @@ def _build_setup(args):
 
 def _cmd_run(args, out):
     phys, counts, n_steps = _build_setup(args)
-    if args.ic == "sine":
-        ic = InitialCondition(kind="sine", amplitude=args.amplitude, frequency=args.frequency)
-    else:
-        ic = InitialCondition(
-            kind="pulse", amplitude=args.amplitude, support=_parse_support(args.support, phys.L)
-        )
+    # A given --frequency or --support reaches InitialCondition whatever the
+    # kind, which refuses the one that does not apply.
+    sine = args.ic == "sine"
+    frequency = DEFAULT_FREQUENCY if sine and args.frequency is None else args.frequency
+    support = None if sine and args.support is None else _parse_support(args.support, phys.L)
+    ic = InitialCondition(args.ic, args.amplitude, frequency, support)
     problem = DiscreteProblem.create(phys, n_steps, args.H, counts[0])
     cg = CGConfig(tol=args.tol, max_iter=args.max_iter)
     spec = ExperimentSpec(

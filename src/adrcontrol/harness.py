@@ -161,15 +161,17 @@ def _terminal_norm(grid, terminal):
 # "%.17g" in numpy.  A double x with 1e-280 < |x| < 1e280 and decimal
 # exponent X has the 17 digits D = round(|x| * 10**(16 - X)).  The product
 # p is formed in long double from powers of ten that strtold parsed from
-# decimal strings, so correctly rounded.  For -11 <= X <= 16 the power is exact and p carries
-# one rounding, while D + 1/2 is representable, so only a computed fraction
-# of exactly 1/2 can sit on the wrong side of it; otherwise p is off by less
-# than 2**-6 and a fraction within 2**-5 of 1/2 is distrusted.  Distrusted
-# values, zeros, subnormals, extreme magnitudes, nan and inf are formatted
-# by "%" itself, a fast path with an exact fallback as in Loitsch, PLDI 2010.
-# Without a 64-bit long double significand every value takes the fallback.
+# decimal strings, so correctly rounded.  For -11 <= X <= 16 the power is
+# exact and p carries one rounding, while D + 1/2 is representable, so only a
+# computed fraction of exactly 1/2 can sit on the wrong side of it; otherwise
+# p is off by less than 2**-6 and a fraction within 2**-5 of 1/2 is
+# distrusted.  "%" itself, a fast path with an exact fallback as in Loitsch,
+# PLDI 2010, formats the distrusted values, those whose log10 misses X or
+# whose rounding carries to 10**17, those with trailing zeros the digit table
+# cannot strip, and zeros, subnormals, extreme magnitudes, nan and inf;
+# without a 64-bit long double significand, every value.
 _WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
-_EXPONENTS = np.arange(-282, 283)  # X of 1e-280..1e280, one more each way for a miss or a carry
+_EXPONENTS = np.arange(-282, 283)  # X of 1e-280..1e280; next to them, log10 can pass an end
 
 # A value's text takes 48 bytes: byte 0 the sign, 1-5 the "0." and leading
 # zeros of fixed notation below 1, 6 + 2i digit i and 7 + 2i the slot for a
@@ -229,25 +231,16 @@ def _value_text(x):
     ok = (a > 1e-280) & (a < 1e280)
     a[~ok] = 1.0
     X = np.floor(np.log10(a)).astype(np.int16) - _EXPONENTS[0]
-    a = a.astype(np.longdouble)
-    p = a * t.pow10.take(X)
+    p = a.astype(np.longdouble) * t.pow10.take(X)
     D = p.astype(np.int64)
-    # log10 can miss X by one next to a power of ten.  After one correction
-    # D has 17 digits, or p's error made it 10**16 - 1 or 10**17, which
-    # round (and carry) to the right text.
-    off = (D >= 10**17).astype(np.int16) - (D < 10**16)
-    redo = np.flatnonzero(off)
-    X[redo] += off[redo]
-    p[redo] = a[redo] * t.pow10.take(X[redo])
-    D[redo] = p[redo].astype(np.int64)
     p -= D
     frac = p.astype(np.float64)  # exact: p < 2**57 has at most 10 fraction bits
-    trust = ok & (np.abs(frac - 0.5) > t.margin.take(X))
-    trust &= _WIDE_LONG_DOUBLE
     D += frac > 0.5
-    carry = D == 10**17
-    D[carry] = 10**16
-    X += carry
+    # A log10 miss or a carry leaves D without 17 digits, except a miss up
+    # rounded to 10**16, whose zeros the trailing-zero rule below distrusts.
+    trust = ok & (np.abs(frac - 0.5) > t.margin.take(X)) & (D >= 10**16) & (D < 10**17)
+    trust &= _WIDE_LONG_DOUBLE
+    D[~trust] = 10**16  # keeps the word lookups in range
 
     top = D // 10**8
     hi = top.astype(np.int32)  # digits 0-8
@@ -259,19 +252,15 @@ def _value_text(x):
         words[:, j + 1] |= t.digit_words.take(g)
     # %g strips trailing zeros after the point, and the point if bare.  The
     # trimmed words do it where digits 13-16 follow the point and are not all
-    # 0; the rest keep the slots up to the last nonzero digit or the point.
+    # 0.  Where they are all 0 or hold the point, a value ending in 0 is
+    # distrusted; one ending in another digit has no zero to strip.
     g = groups[3]
     words[:, 4] |= t.trimmed_words.take(g)
     rest = np.flatnonzero((g == 0) | (t.point.take(X) > 12))
-    words[rest, 4] |= t.digit_words.take(g[rest])
+    trust[rest[g[rest] % 10 == 0]] = False
     text = words.view(np.uint8)
     text[:, 6] = lead + 48
     text[:, 0] = np.signbit(x) * np.uint8(ord("-"))
-    z = rest[g[rest] % 10 == 0]
-    body = text[z, 6:40]
-    last = 16 - np.argmax(body[:, -2::-2] != ord("0"), axis=1)
-    body[np.arange(34) > 2 * np.maximum(last, t.point[X[z]])[:, None]] = 0
-    text[z, 6:40] = body
 
     slow = np.flatnonzero(~trust)
     if len(slow):
@@ -305,7 +294,6 @@ def _write_levels(path, header, grid, nodes, levels):
     _value_text(v) in one buffer that keeps the node labels, and one
     translate drops the padding.  Every number reads as ``_fmt(v)``.
     """
-    levels = np.asarray(levels, dtype=np.float64)
     n_levels, n_nodes = levels.shape
     x = grid_nodes(grid)
     heads = _level_labels(n_levels, grid.dt)

@@ -200,6 +200,23 @@ class TestRun:
         assert rc == 1
         assert "support must be two numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, flag, message",
+        [
+            ("sine", ["--support", "0.1,0.2"], "support only applies to the pulse"),
+            ("pulse", ["--frequency", "3"], "frequency only applies to the sine"),
+        ],
+        ids=["support-with-sine", "frequency-with-pulse"],
+    )
+    def test_flag_of_the_other_kind_is_refused(self, tmp_path, capsys, kind, flag, message):
+        out = tmp_path / "out"
+        rc = main([
+            "run", "--ic", kind, *flag, "--H", "10", "--M", "2", "--M", "5", "--out", str(out),
+        ])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_amplitude(self, tmp_path):
         assert main(run_args(tmp_path, "--amplitude", "nan")) == 1
 

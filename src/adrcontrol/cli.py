@@ -5,10 +5,10 @@ Subcommands:
   demo-instability   print the explicit Euler trajectory of the reaction ODE
   check              validate a grid and report its stability ratio
 
-Exit codes: 0 success, 1 invalid configuration (also a float overflow or underflow
-while deriving the grid), 2 a solver failure (blow-up or CG curvature loss) in some
-count's row, each named on stderr, 3 output I/O error.  A warning is one
-"warning: ..." line on stderr, like the "error: ..." lines.
+Exit codes: 0 success, 1 invalid configuration or command line (also a float overflow or
+underflow while deriving the grid; write a negative exponent-notation value as --eps=-1e-3),
+2 a solver failure (blow-up or CG curvature loss) in some count's row, each named on stderr,
+3 output I/O error.  A warning is one "warning: ..." line on stderr, like "error: ..." lines.
 """
 
 from __future__ import annotations
@@ -77,8 +77,13 @@ def _add_problem_args(parser):
     parser.set_defaults(**asdict(PhysicalConfig()))
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1 with one line, like any bad input
+        raise ConfigurationError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adrcontrol",
         description="Adjoint-based optimal control of a 1D advection-diffusion-reaction equation.",
     )
@@ -224,12 +229,11 @@ def _warning_line(message, category, filename, lineno, line=None):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     out = sys.stdout
     formatwarning = warnings.formatwarning
     warnings.formatwarning = _warning_line
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args, out)
         if args.command == "demo-instability":

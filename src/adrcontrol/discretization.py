@@ -10,6 +10,7 @@ forces H to be a multiple of M.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -76,7 +77,7 @@ class PhysicalConfig:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Space-time grid sizes together with the step lengths they induce."""
+    """Space-time grid sizes and their steps dt and h, finite normal floats (no subnormal)."""
 
     N: int
     H: int
@@ -95,23 +96,21 @@ class GridConfig:
             )
         for name in ("dt", "h"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise ConfigurationError(f"{name} must be a positive finite number")
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= sys.float_info.min):
+                raise ConfigurationError(f"{name} must be a positive finite normal float")
 
 
 @dataclass(frozen=True)
 class DiscreteProblem:
-    """A physical configuration paired with a grid that actually tiles it."""
+    """A physical configuration paired with the grid that tiles it: dt = T/N, h = L/H exactly."""
 
     phys: PhysicalConfig
     grid: GridConfig
 
     def __post_init__(self):
         p, g = self.phys, self.grid
-        if abs(g.dt * g.N - p.T) > 1e-12 * p.T:
-            raise ConfigurationError("dt * N does not reproduce the time horizon T")
-        if abs(g.h * g.H - p.L) > 1e-12 * p.L:
-            raise ConfigurationError("h * H does not reproduce the domain length L")
+        if (g.dt, g.h) != (p.T / g.N, p.L / g.H):
+            raise ConfigurationError("the steps dt and h must be exactly T/N and L/H")
         # The adjoint ghost closure divides by mu - eps*h; reject near-singular setups.
         if abs(p.mu - p.eps * g.h) <= 1e-12 * p.mu:
             raise ConfigurationError(

@@ -159,14 +159,14 @@ def _terminal_norm(grid, terminal):
 
 
 # "%.17g" in numpy.  A double x with 1e-280 < |x| < 1e280 and decimal
-# exponent X has the 17 digits D = round(|x| * 10**(16 - X)).  The product
+# exponent E has the 17 digits D = round(|x| * 10**(16 - E)).  The product
 # p is formed in long double from powers of ten that strtold parsed from
-# decimal strings, so correctly rounded.  For -11 <= X <= 16 the power is
+# decimal strings, so correctly rounded.  For -11 <= E <= 16 the power is
 # exact and p carries one rounding, while D + 1/2 is representable, so only a
 # computed fraction of exactly 1/2 can sit on the wrong side of it; otherwise
 # p is off by less than 2**-6 and a fraction within 2**-5 of 1/2 is
 # distrusted.  "%" itself, a fast path with an exact fallback as in Loitsch,
-# PLDI 2010, formats the distrusted values, those whose log10 misses X or
+# PLDI 2010, formats the distrusted values, those whose log10 misses E or
 # whose rounding carries to 10**17, those with trailing zeros the digit table
 # cannot strip, and zeros, subnormals, extreme magnitudes, nan and inf;
 # without a 64-bit long double significand, every value.
@@ -181,12 +181,10 @@ _VALUE_BYTES = 48
 
 
 class _Tables(NamedTuple):
-    pow10: np.ndarray  # 10**(16 - X) per exponent, in long double
-    margin: np.ndarray  # per exponent, how far from 1/2 a fraction must lie to be trusted
+    pow10: np.ndarray  # 10**(16 - E) per exponent, in long double
     digit_words: np.ndarray  # "0000".."9999", each digit followed by a NUL
     trimmed_words: np.ndarray  # the same with trailing zeros NUL
-    templates: np.ndarray  # per exponent, the words of a value's text that depend on X alone
-    point: np.ndarray  # per exponent, the digit after which the point goes (negative: before all)
+    templates: np.ndarray  # per exponent, the words of a value's text that depend on E alone
 
 
 @functools.cache
@@ -195,15 +193,13 @@ def _tables():
     CSV allocates none of them."""
     x = _EXPONENTS
     pow10 = np.fromstring(" ".join(f"1e{16 - e}" for e in x.tolist()), np.longdouble, sep=" ")
-    margin = np.where((x >= -11) & (x <= 16), 0.0, 2.0**-5)
     spaced = np.zeros((10000, 8), np.uint8)
     spaced[:, 0::2] = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(48)
     trimmed = spaced.copy()
     for col in (6, 4, 2, 0):  # a "0" that no digit follows is a trailing zero
         trimmed[(trimmed[:, col] == ord("0")) & ~trimmed[:, col + 1 :].any(1), col] = 0
 
-    fixed = (x >= -4) & (x < 17)
-    point = np.where(fixed, x, 0)
+    point = np.where((x >= -4) & (x < 17), x, 0)  # the digit the point follows (< 0: none)
     text = np.zeros((len(x), _VALUE_BYTES), np.uint8)
     for row, e in zip(text, x.tolist()):
         if e < -4 or e > 16:
@@ -216,11 +212,9 @@ def _tables():
     text[:, -1] = ord("\n")
     return _Tables(
         pow10=pow10,
-        margin=margin,
         digit_words=spaced.view(np.uint64).ravel(),
         trimmed_words=trimmed.view(np.uint64).ravel(),
         templates=text.view(np.uint64),
-        point=point.astype(np.int8),
     )
 
 
@@ -230,7 +224,8 @@ def _value_text(x):
     a = np.abs(x)
     ok = (a > 1e-280) & (a < 1e280)
     a[~ok] = 1.0
-    X = np.floor(np.log10(a)).astype(np.int16) - _EXPONENTS[0]
+    E = np.floor(np.log10(a)).astype(np.int16)
+    X = E - _EXPONENTS[0]  # the row of E in the tables
     p = a.astype(np.longdouble) * t.pow10.take(X)
     D = p.astype(np.int64)
     p -= D
@@ -238,7 +233,8 @@ def _value_text(x):
     D += frac > 0.5
     # A log10 miss or a carry leaves D without 17 digits, except a miss up
     # rounded to 10**16, whose zeros the trailing-zero rule below distrusts.
-    trust = ok & (np.abs(frac - 0.5) > t.margin.take(X)) & (D >= 10**16) & (D < 10**17)
+    margin = np.where((E >= -11) & (E <= 16), 0.0, 2.0**-5)  # 0 where 10**(16 - E) is exact
+    trust = ok & (np.abs(frac - 0.5) > margin) & (D >= 10**16) & (D < 10**17)
     trust &= _WIDE_LONG_DOUBLE
     D[~trust] = 10**16  # keeps the word lookups in range
 
@@ -256,7 +252,7 @@ def _value_text(x):
     # distrusted; one ending in another digit has no zero to strip.
     g = groups[3]
     words[:, 4] |= t.trimmed_words.take(g)
-    rest = np.flatnonzero((g == 0) | (t.point.take(X) > 12))
+    rest = np.flatnonzero((g == 0) | ((E >= 13) & (E <= 16)))
     trust[rest[g[rest] % 10 == 0]] = False
     text = words.view(np.uint8)
     text[:, 6] = lead + 48

@@ -101,6 +101,43 @@ class TestCheck:
         assert main(["check", "--mu", "0"]) == 1
         assert main(["check", "--mu", "0.1", "--eps", "1", "--H", "10"]) == 1
 
+    def test_subnormal_step_is_refused_by_name(self, capsys):
+        # T/N = 5e-311 is a subnormal double
+        assert main(["check", "--T", "1e-310", "--H", "10", "--N", "2", "--M", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid configuration: dt must be")
+        assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--H", "abc"], "argument --H: invalid int value: 'abc'"),
+        (["run", "--H", "10"], "the following arguments are required: --out"),
+        # argparse reads -1e-3 as an option; --eps=-1e-3 is the way to write it
+        (["check", "--eps", "-1e-3"], "argument --eps: expected one argument"),
+    ],
+    ids=["not-an-int", "no-out", "negative-exponent-value"],
+)
+def test_usage_error_is_one_configuration_error_line(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid configuration: {message}\n"
+
+
+def test_negative_exponent_value_with_equals_sign(capsys):
+    assert main(["check", "--eps=-1e-3", "--M", "2"]) == 0
+    assert "M=2:" in capsys.readouterr().out
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: adrcontrol check")
+
 
 @pytest.mark.parametrize(
     "grid, refused, warned",

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +69,12 @@ class TestGridConfig:
             GridConfig(N=10, H=10, M=2, dt=0.0, h=0.1)
         with pytest.raises(ConfigurationError):
             GridConfig(N=10, H=10, M=2, dt=0.1, h=-0.1)
+        # a subnormal step is refused by name
+        tiny = sys.float_info.min / 2
+        with pytest.raises(ConfigurationError, match="^dt must be"):
+            GridConfig(N=10, H=10, M=2, dt=tiny, h=0.1)
+        with pytest.raises(ConfigurationError, match="^h must be"):
+            GridConfig(N=10, H=10, M=2, dt=0.1, h=tiny)
 
 
 class TestDiscreteProblem:
@@ -95,6 +102,12 @@ class TestDiscreteProblem:
             DiscreteProblem(phys, GridConfig(N=10, H=10, M=2, dt=0.2, h=0.1))
         with pytest.raises(ConfigurationError):
             DiscreteProblem(phys, GridConfig(N=10, H=10, M=2, dt=0.1, h=0.2))
+        # one ulp off T/N or L/H is a different grid
+        off = math.nextafter(0.1, 1.0)
+        with pytest.raises(ConfigurationError, match="exactly T/N and L/H"):
+            DiscreteProblem(phys, GridConfig(N=10, H=10, M=2, dt=off, h=0.1))
+        with pytest.raises(ConfigurationError, match="exactly T/N and L/H"):
+            DiscreteProblem(phys, GridConfig(N=10, H=10, M=2, dt=0.1, h=off))
 
     def test_rejects_singular_adjoint_closure(self):
         # mu = eps*h makes the adjoint ghost gain blow up

@@ -260,15 +260,18 @@ class TestValueText:
     def test_every_digit_count_at_every_fixed_exponent(self):
         # 1-17 significant digits at decimal exponents -6..18: the point
         # falls before, at and after digit 13, and digits 13-16 are all zero,
-        # end in zeros or end in a nonzero digit.  The same digit counts at
-        # every 13th exponent of -279..279 take exponent notation.
+        # end in zeros or end in a nonzero digit.  Exponents -13..-10 cross
+        # -11, the lower end of the exponents whose power of ten is exact.
+        # The same digit counts at every 13th exponent of -279..279 take
+        # exponent notation.
         rng = np.random.default_rng(16)
+        exponents = [*range(-13, -9), *range(-6, 19)]
         values = [1234567890123.4, 12345678901234.5, 1.2e13, 1.2e16, 1.0000000000001e13]
         values += [float(f"1.234567890123e{e}") for e in range(-6, 19)]  # 13-16 all zero
         values += [float(f"1.2345678901230001e{e}") for e in range(-6, 19)]
         for k in range(1, 18):
             digits = rng.integers(10 ** (k - 1), 10**k, 40).tolist()
-            values += [float(f"{d}e{e - k + 1}") for d in digits for e in range(-6, 19)]
+            values += [float(f"{d}e{e - k + 1}") for d in digits for e in exponents]
         for k in range(1, 18):
             digits = rng.integers(10 ** (k - 1), 10**k, 20).tolist()
             values += [float(f"{d}e{e - k + 1}") for d in digits for e in range(-279, 280, 13)]

@@ -152,8 +152,17 @@ def control_indices(grid):
 
 def _rate(phys, h):
     """Rate 2*mu/h^2 + |eps|/h at which the state (eps < 0) or the adjoint
-    (eps > 0) stencil drains its diagonal weight per unit time."""
-    return 2.0 * phys.mu / h**2 + abs(phys.eps) / h
+    (eps > 0) stencil drains its diagonal weight per unit time.
+
+    ConfigurationError, naming h, where h^2 is not a finite normal float.
+    """
+    try:
+        square = h**2
+    except OverflowError:
+        raise ConfigurationError(f"the space step h = L/H = {h!r} is too large: h^2 overflows") from None
+    if square < sys.float_info.min:
+        raise ConfigurationError(f"the space step h = L/H = {h!r} is too small: h^2 underflows")
+    return 2.0 * phys.mu / square + abs(phys.eps) / h
 
 
 def cfl_ratio(problem):

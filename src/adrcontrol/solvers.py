@@ -41,7 +41,7 @@ reads it back.  The adjoint's output is its M+1 control traces, the only
 rows the reduced gradient reads: every node is marched and guarded, but
 only the control nodes of each level are written.
 
-The kernel splits the levels into blocks of GUARD_BLOCK and marches the
+The kernel splits the levels into blocks of B levels and marches the
 blocks side by side, one row per block of one contiguous carry array.  A
 step is linear, x -> A x, and A is one tuple (lo, mid, hi, left, right):
 the ghost nodes (index -1 and H+1) gain*edge fold into the edge diagonals
@@ -50,14 +50,14 @@ with lo and hi swapped, so one step function applies both.  A batched
 step is one ``np.correlate`` over the flattened rows; the boundary
 columns, which it mixes with the neighbouring rows, are then recomputed
 from the edge diagonals.  The true level s_b before block b is the
-zero-start end of block b-1 plus A^GUARD_BLOCK s_(b-1): the ends are
-carried through a dense (A^T)^GUARD_BLOCK, computed once per operator
-and width.  Each block is marched once, and what a second pass
+zero-start end of block b-1 plus A^B s_(b-1): the ends are
+carried through a dense (A^T)^B, computed once per operator, width
+and B.  Each block is marched once, and what a second pass
 would add is priced through the M+1 control rows, chosen by what the
 sweep stores:
 
 - Every node (state and perturbation): the zero-start end of each block
-  is its (GUARD_BLOCK, M+1) control samples times the control-node unit
+  is its (B, M+1) control samples times the control-node unit
   rows, scaled by the weights, stepped to the block's end.  After the
   carry, every block is marched from its true start.  Each level is
   checked against the guard |x| <= BLOWUP_LIMIT at every node while it is
@@ -69,10 +69,20 @@ sweep stores:
   gains the response of its block start at the kept nodes,
   s_b (A^T)^(i+1)[:, keep], whose columns are the kept unit rows stepped
   by A^T; s_0 is the terminal level.  The guard passes when
-  max|particular| + ||A||_inf^GUARD_BLOCK max|s_b| <= BLOWUP_LIMIT, a
+  max|particular| + ||A||_inf^B max|s_b| <= BLOWUP_LIMIT, a
   bound on |x| at every node and level that not a number fails.  Where it
   does not clear, the exact march decides: every block again from its
   true start, guarded level by level as above.
+
+B is chosen per sweep by ``_block`` from the sweep's cost model.  A sweep
+of S levels over W = H+1 nodes makes about B batched steps and unit-row
+map steps, each of a roughly fixed numpy call overhead, and S/B carries
+of W^2 multiply-adds.  With that overhead worth k^2 multiply-adds, the
+sum B*k^2 + (S/B)*W^2 is least at B = W*sqrt(S)/k, which is rounded and
+clamped to 1..S.  k = BLOCK_COST = 228 was measured on one CPU of an x86
+host, timing whole CG solves at fixed B: they were fastest at B = 16..32
+for H = 100, N = 4020 (k = 200..400) and at B = 96..128 for H = 200,
+N = 16040 (k = 199..265).  The rule gives B = 28 and B = 112 there.
 
 Overflow warnings are silenced, and ``_march`` alone decides the blow-up
 step: when a level of a march of several blocks fails the guard, it marches
@@ -83,6 +93,7 @@ step it reports is a per-step guard's.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,14 +115,13 @@ __all__ = [
 # yet far below float overflow, so the guard fires before inf/nan spread.
 BLOWUP_LIMIT = 1e150
 
-# Levels per block of the march.  A sweep of S steps makes GUARD_BLOCK
-# batched steps (twice that where the adjoint's bound falls back to the
-# exact march) and S/GUARD_BLOCK carries.
-GUARD_BLOCK = 64
+# The constant k of the block rule B = W*sqrt(S)/k (see the module
+# docstring): k^2 is one level's call overhead in carry multiply-adds.
+BLOCK_COST = 228
 
 # Levels per BLAS product of the unit-row maps that stand in for a second
-# pass; the adjoint's products take MAP_CHUNK kept nodes and half as many
-# levels.  It bounds the maps held at once.
+# pass; the adjoint's products take half as many kept nodes and levels.
+# It bounds the maps held at once.
 MAP_CHUNK = 16
 
 
@@ -211,6 +221,12 @@ def _norm(op):
     return np.float64(max(abs(lo) + abs(mid) + abs(hi), abs(left) + abs(hi), abs(lo) + abs(right)))
 
 
+def _block(steps, width):
+    """Levels per block of a sweep of ``steps`` levels over ``width`` nodes:
+    width*sqrt(steps)/BLOCK_COST, rounded and clamped to 1..steps."""
+    return min(steps, max(1, round(width * math.sqrt(steps) / BLOCK_COST)))
+
+
 @functools.lru_cache(maxsize=8)
 def _power(op, width, block):
     """The dense (A^T)^block of an operator, read-only."""
@@ -245,9 +261,9 @@ def _add_responses(levels, keep, starts, op, block):
     calls of their own, so its values do not depend on how many nodes are
     kept."""
     transposed = op[2::-1] + op[3:]
-    depth = MAP_CHUNK // 2  # levels per product
-    for k in range(0, len(keep), MAP_CHUNK):
-        nodes = slice(k, k + MAP_CHUNK)
+    depth = MAP_CHUNK // 2  # kept nodes and levels per product
+    for k in range(0, len(keep), depth):
+        nodes = slice(k, k + depth)
         unit = np.zeros((len(keep[nodes]), starts.shape[1]))
         unit[np.arange(len(unit)), keep[nodes]] = 1.0
         maps = np.empty((len(unit), depth, starts.shape[1]))
@@ -261,21 +277,26 @@ def _add_responses(levels, keep, starts, op, block):
                 rows += response[:, : len(rows), m].T
 
 
-def _levels(starts, levels, keep, op, forcing, block):
-    """March block b of ``levels`` from row b of ``starts`` under
+def _levels(x, levels, keep, op, forcing, block):
+    """March block b of ``levels`` from row b of the carry ``x`` under
     ``forcing``, writing the kept nodes of each level; a short last block
-    drops out of the carry when it ends.  Yields (i, min, max) over level i
-    of every block before it is written, then sets rows 1.. of starts to
-    the ends of blocks 0.. ."""
+    drops out of the carry when it ends.  Yields (i, x) with x level i of
+    every block before it is written; the last x holds the ends of the
+    full blocks.  Each step's forcing product is written into the level it
+    replaced, so the march holds two carries, and ``x`` is overwritten."""
     nodes, weights, v = forcing
-    x = starts
     for i in range(min(block, len(levels))):
         rows = levels[i::block]
-        x = _step(x[: len(rows)], op)
-        x[:, nodes] += weights * v[:, i::block].T
-        yield i, x.min(), x.max()
+        y = _step(x[: len(rows)], op)
+        # The forcing is formed in the dead level, copied and then scaled in
+        # place: a product of the strided samples would allocate a buffer.
+        x = x[: len(rows), : len(v)]
+        x[...] = v[:, i::block].T
+        x *= weights
+        y[:, nodes] += x
+        x = y
+        yield i, x
         rows[...] = x[:, keep]
-    starts[1:] = x[: len(starts) - 1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -295,18 +316,24 @@ def _march(start, levels, keep, op, forcing, block):
     """
     steps, width = len(levels), len(start)
     blocks = -(-steps // block)
-    # Row b of starts becomes the true level before block b.
-    starts = np.zeros((blocks, width))
-    # A sweep that stores every node prices the zero-start block ends; one
-    # that keeps a list of nodes marches them and adds the starts' responses.
+    # Row b of starts becomes the true level before block b.  A sweep that
+    # stores every node prices the zero-start block ends; one that keeps a
+    # list of nodes marches them from zero, before its starts are allocated,
+    # and adds the starts' responses.
     priced = isinstance(keep, slice)
     if blocks > 1:
         power = _power(op, width, block)
-        if priced:
+    if blocks > 1 and not priced:
+        extremes = np.empty((block, 2))
+        for i, x in _levels(np.zeros((blocks, width)), levels, keep, op, forcing, block):
+            extremes[i] = x.min(), x.max()
+        starts = np.empty((blocks, width))
+        starts[1:] = x[: blocks - 1]
+        del x  # the march's last level: only the starts stay
+    else:
+        starts = np.zeros((blocks, width))
+        if blocks > 1:
             _add_ends(starts[1:], forcing, op, block)
-        else:
-            march = _levels(starts, levels, keep, op, forcing, block)
-            extremes = np.array([(low, high) for _, low, high in march])
     starts[0] = start
     for b in range(1, blocks):
         starts[b] += starts[b - 1] @ power
@@ -318,9 +345,12 @@ def _march(start, levels, keep, op, forcing, block):
             _add_responses(levels, keep, starts, op, block)
             return None
     # Every block from its true start; level i+1 of each is guarded at every
-    # node before its kept nodes are written.
-    for i, low, high in _levels(starts, levels, keep, op, forcing, block):
-        if not (-BLOWUP_LIMIT <= low and high <= BLOWUP_LIMIT):
+    # node before its kept nodes are written.  The march alone holds the
+    # starts, so it frees them after its first step.
+    march = _levels(starts, levels, keep, op, forcing, block)
+    del starts
+    for i, x in march:
+        if not (-BLOWUP_LIMIT <= x.min() and x.max() <= BLOWUP_LIMIT):
             if blocks == 1:
                 return i + 1
             return _march(start, levels, keep, op, forcing, steps)
@@ -366,7 +396,7 @@ def solve_state(problem, y0, control):
     work = np.empty((N + 2, H + 1))
     work[0] = y0
     forcing = (control_indices(g), weights, v)
-    bad = _march(y0, work[1:], slice(None), op, forcing, GUARD_BLOCK)
+    bad = _march(y0, work[1:], slice(None), op, forcing, _block(N + 1, H + 1))
     if bad is not None:
         raise SolverBlowUpError(step=bad)
     return StateField(work.T)
@@ -403,7 +433,7 @@ def solve_adjoint(problem, state):
     terminal = p.k2 * y[:, N + 1]
     work = np.empty((N + 1, g.M + 1))
     work[N] = terminal[keep]
-    bad = _march(terminal, work[-2::-1], keep, op, forcing, GUARD_BLOCK)
+    bad = _march(terminal, work[-2::-1], keep, op, forcing, _block(N, H + 1))
     if bad is not None:
         raise SolverBlowUpError(step=N - bad)
     return AdjointField(work.T)

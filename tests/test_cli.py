@@ -109,6 +109,21 @@ class TestCheck:
         assert captured.err.startswith("error: invalid configuration: dt must be")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # h = 1e-302 and 1e299 are normal floats; their squares are not
+            (["--L", "1e-300"], "the space step h = L/H = 1e-302 is too small: h^2 underflows"),
+            (["--L", "1e300", "--H", "10", "--N", "10", "--M", "2"], "the space step h = L/H = 1e+299 is too large: h^2 overflows"),
+        ],
+        ids=["tiny", "huge"],
+    )
+    def test_step_whose_square_is_out_of_range_is_refused_by_name(self, capsys, argv, message):
+        assert main(["check", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid configuration: {message}\n"
+
 
 @pytest.mark.parametrize(
     "argv, message",

@@ -17,9 +17,23 @@ from adrcontrol import (
     solve_state,
 )
 from adrcontrol import solvers
-from adrcontrol.solvers import BLOWUP_LIMIT, GUARD_BLOCK, AdjointField, StateField
+from adrcontrol.solvers import BLOWUP_LIMIT, AdjointField, StateField
 
 from conftest import default_problem, make_problem, smooth_probe_set, traced_peak
+
+# The levels per block that the block-geometry tests are built around.
+BLOCK = 64
+
+
+def pin_block(monkeypatch, block=BLOCK):
+    """Make every sweep march blocks of ``block`` levels, or one block
+    where it has fewer levels."""
+    monkeypatch.setattr(solvers, "_block", lambda steps, width: min(steps, block))
+
+
+@pytest.fixture
+def blocks_of_64(monkeypatch):
+    pin_block(monkeypatch)
 
 
 def random_controls(grid, rng, scale=1.0):
@@ -203,6 +217,7 @@ class TestSolveState:
         with pytest.raises(ValueError, match="initial state must be finite"):
             solve_state(p, y0, ControlField.zeros(p.grid))
 
+    @pytest.mark.usefixtures("blocks_of_64")
     def test_blow_up_raises_with_step_index(self):
         # The guard is checked once per block of steps.  These amplitudes
         # blow up on the last level of a block, on the first level of the
@@ -216,7 +231,7 @@ class TestSolveState:
             step = blow_up_step(solve_state, p, y0, v)
             assert 0 < step <= 2504
             assert step == blow_up_step(reference_state, p, y0, v.values)
-            offsets.add(step % GUARD_BLOCK)
+            offsets.add(step % BLOCK)
         assert 0 in offsets and len(offsets) == 3
 
     def test_guard_reports_the_per_step_step_where_rounding_differs(self, monkeypatch):
@@ -228,14 +243,15 @@ class TestSolveState:
         rng = np.random.default_rng(0)
         y0, v = np.ones(11), random_controls(p.grid, rng)
         y = StateField(rng.standard_normal((11, p.grid.N + 2)))
-        monkeypatch.setattr(solvers, "GUARD_BLOCK", p.grid.N + 1)  # one block
+        pin_block(monkeypatch, p.grid.N + 1)  # one block
         per_step = solve_state(p, y0, v).values, solve_adjoint(p, y).values
-        monkeypatch.undo()
+        pin_block(monkeypatch)
         levels = solvers._levels
 
-        def tripping(starts, *args):
-            for i, low, high in levels(starts, *args):
-                yield i, low, np.inf if i == 5 and len(starts) > 1 else high
+        def tripping(x, *args):
+            several = len(x) > 1
+            for i, level in levels(x, *args):
+                yield i, np.full_like(level, np.inf) if i == 5 and several else level
 
         monkeypatch.setattr(solvers, "_levels", tripping)
         assert np.array_equal(solve_state(p, y0, v).values, per_step[0])
@@ -324,6 +340,7 @@ class TestSolveAdjoint:
         combined = solve_adjoint(p, StateField(3.0 * ya.values + 0.25 * yb.values))
         assert np.allclose(combined.values, 3.0 * qa.values + 0.25 * qb.values, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.usefixtures("blocks_of_64")
     def test_blow_up_raises_with_step_index(self):
         # Marching index N - step counts the adjoint's steps; these terminal
         # amplitudes blow up on the last level of a guard block and inside one.
@@ -339,7 +356,7 @@ class TestSolveAdjoint:
             step = blow_up_step(solve_adjoint, p, y)
             assert 0 <= step < g.N
             assert step == blow_up_step(reference_adjoint, p, y.values)
-            offsets.add((g.N - step) % GUARD_BLOCK)
+            offsets.add((g.N - step) % BLOCK)
         assert 0 in offsets and len(offsets) == 3
 
     def test_rejects_mismatched_state_shape(self):
@@ -351,17 +368,21 @@ class TestSolveAdjoint:
 
 
 @st.composite
-def adjoint_cases(draw, max_ratio=1.0):
+def adjoint_cases(draw, max_ratio=1.0, cells=st.integers(1, 12), levels=None, horizon=np.inf):
     """(problem, state) on a small grid of stability ratio 0.05..max_ratio,
     M any divisor of H, whose adjoint marches a level count near a multiple
-    of GUARD_BLOCK."""
-    H = draw(st.integers(1, 12))
+    of BLOCK; or H drawn from ``cells``, N from ``levels`` and T at most
+    ``horizon``, which bounds the reaction's growth (1 + dt)^N."""
+    H = draw(cells)
     M = draw(st.sampled_from([m for m in range(1, H + 1) if H % m == 0]))
-    N = max(1, GUARD_BLOCK * draw(st.integers(0, 3)) + draw(st.integers(-2, 2)))
+    if levels is None:
+        N = max(1, BLOCK * draw(st.integers(0, 3)) + draw(st.integers(-2, 2)))
+    else:
+        N = draw(levels)
     mu, eps, h = 0.1, draw(st.floats(-0.5, 0.5)), 1.0 / H
     if abs(mu - eps * h) <= 0.01:  # keep clear of the refused mu = eps*h
         eps = -eps
-    T = draw(st.floats(0.05, max_ratio)) * N / (2.0 * mu / h**2 + abs(eps) / h)
+    T = min(horizon, draw(st.floats(0.05, max_ratio)) * N / (2.0 * mu / h**2 + abs(eps) / h))
     p = make_problem(T=T, mu=mu, eps=eps, N=N, H=H, M=M, k1=0.7, k2=1.3)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return p, StateField(rng.standard_normal((H + 1, N + 2)))
@@ -374,12 +395,15 @@ class TestStoredNodes:
     @given(adjoint_cases())
     def test_rows_are_the_full_trajectorys_bitwise(self, case):
         p, state = case
-        stored = solve_adjoint(p, state).values
-        full = solve_adjoint(every_node(p), state).values
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            pin_block(monkeypatch)
+            stored = solve_adjoint(p, state).values
+            full = solve_adjoint(every_node(p), state).values
         assert stored.shape == (p.grid.M + 1, p.grid.N + 1)
         assert full.shape == (p.grid.H + 1, p.grid.N + 1)
         assert stored.tobytes() == full[control_indices(p.grid)].tobytes()
 
+    @pytest.mark.usefixtures("blocks_of_64")
     def test_blow_up_at_an_unstored_node_reports_the_same_step(self):
         # With M = 1 only nodes 0 and 50 are stored.  The terminal data sit
         # in between, and at the step the guard fires those two nodes are
@@ -389,7 +413,7 @@ class TestStoredNodes:
         values = np.zeros((p.grid.H + 1, p.grid.N + 2))
         values[20:31, -1] = 0.3
         step = blow_up_step(solve_adjoint, p, StateField(values))
-        assert p.grid.N - step > GUARD_BLOCK
+        assert p.grid.N - step > BLOCK
         assert step == blow_up_step(solve_adjoint, every_node(p), StateField(values))
 
 
@@ -420,6 +444,17 @@ class TestKernelAgainstLoopReference:
     def test_drawn_grids_match_plain_loops(self, case, seed):
         # One block, a short last block and several blocks, each under the
         # state's forcing at its control nodes and the adjoint's at every node.
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            pin_block(monkeypatch)
+            self.check_against_loops(case[0], seed)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        adjoint_cases(max_ratio=0.49, cells=st.integers(1, 64), levels=st.integers(1, 2000), horizon=20.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_drawn_grids_match_plain_loops_at_the_rules_block(self, case, seed):
+        # The blocks _block chooses, 1 to 6 levels on these grids.
         self.check_against_loops(case[0], seed)
 
     @pytest.mark.parametrize("eps", [0.3, -0.2])
@@ -427,13 +462,15 @@ class TestKernelAgainstLoopReference:
         p = make_problem(mu=0.1, eps=eps, N=1500, H=20, M=4, k1=0.7, k2=1.3)
         self.check_against_loops(p, seed=21)
 
-    @pytest.mark.parametrize("N", [20, 3 * GUARD_BLOCK + 5])
+    @pytest.mark.usefixtures("blocks_of_64")
+    @pytest.mark.parametrize("N", [20, 3 * BLOCK + 5])
     def test_a_single_cell_matches_plain_loops(self, N):
         # H = 1: a batched step of one row has fewer values than the stencil.
         p = make_problem(T=N / 100, mu=0.1, eps=0.05, N=N, H=1, M=1, k1=0.7, k2=1.3)
         self.check_against_loops(p, seed=N)
 
-    @pytest.mark.parametrize("levels", [GUARD_BLOCK - 1, GUARD_BLOCK, GUARD_BLOCK + 1, 3 * GUARD_BLOCK + 5])
+    @pytest.mark.usefixtures("blocks_of_64")
+    @pytest.mark.parametrize("levels", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     @pytest.mark.parametrize("eps", [0.3, -0.2])
     def test_block_boundaries_match_plain_loops(self, eps, levels):
         # The state marches N+1 levels and the adjoint N, so over these two
@@ -442,54 +479,57 @@ class TestKernelAgainstLoopReference:
             p = make_problem(T=N / 1500, mu=0.1, eps=eps, N=N, H=20, M=4, k1=0.7, k2=1.3)
             self.check_against_loops(p, seed=N)
 
+    @pytest.mark.usefixtures("blocks_of_64")
     def test_blow_up_in_a_short_last_block(self):
-        # 3*GUARD_BLOCK + 5 levels end in a block of 5.  From this amplitude
+        # 3*BLOCK + 5 levels end in a block of 5.  From this amplitude
         # the highest spatial mode overflows the guard inside that last block.
-        levels, alternating = 3 * GUARD_BLOCK + 5, (-1.0) ** np.arange(51)
+        levels, alternating = 3 * BLOCK + 5, (-1.0) ** np.arange(51)
         p = unstable_problem(N=levels - 1)
         zero = ControlField.zeros(p.grid)
         step = blow_up_step(solve_state, p, 1e58 * alternating, zero)
-        assert step > 3 * GUARD_BLOCK
+        assert step > 3 * BLOCK
         assert step == blow_up_step(reference_state, p, 1e58 * alternating, zero.values)
 
         p = unstable_problem(N=levels)
         values = np.zeros((51, p.grid.N + 2))
         values[:, -1] = 1e58 * alternating
         step = blow_up_step(solve_adjoint, p, StateField(values))
-        assert p.grid.N - step > 3 * GUARD_BLOCK
+        assert p.grid.N - step > 3 * BLOCK
         assert step == blow_up_step(reference_adjoint, p, values)
 
 
+    @pytest.mark.usefixtures("blocks_of_64")
     def test_overrun_of_a_short_last_block(self, monkeypatch):
-        # 3*GUARD_BLOCK + 5 levels end in a block of 5.  From this amplitude
+        # 3*BLOCK + 5 levels end in a block of 5.  From this amplitude
         # the per-step march stays under the guard through the last level and
-        # crosses it within the next GUARD_BLOCK steps, so a last block marched
+        # crosses it within the next BLOCK steps, so a last block marched
         # to its full length would trip the guard or write past the end.
-        levels, alternating = 3 * GUARD_BLOCK + 5, (-1.0) ** np.arange(51)
+        levels, alternating = 3 * BLOCK + 5, (-1.0) ** np.arange(51)
         marches = []
         march = solvers._march
         monkeypatch.setattr(solvers, "_march", lambda *args: marches.append(args[-1]) or march(*args))
 
-        longer = unstable_problem(N=levels - 1 + GUARD_BLOCK)
+        longer = unstable_problem(N=levels - 1 + BLOCK)
         y0, zero = 1e45 * alternating, np.zeros((3, longer.grid.N + 1))
-        assert levels < blow_up_step(reference_state, longer, y0, zero) < levels + GUARD_BLOCK - 5
+        assert levels < blow_up_step(reference_state, longer, y0, zero) < levels + BLOCK - 5
         p = unstable_problem(N=levels - 1)
         y = solve_state(p, y0, ControlField.zeros(p.grid)).values
         y_ref = reference_state(p, y0, zero[:, : p.grid.N + 1])
         assert np.abs(y - y_ref).max() <= self.TOL * np.abs(y_ref).max()
 
-        longer = unstable_problem(N=levels + GUARD_BLOCK)
+        longer = unstable_problem(N=levels + BLOCK)
         values = np.zeros((51, longer.grid.N + 2))
         values[:, -1] = 1e45 * alternating
         crossed = longer.grid.N - blow_up_step(reference_adjoint, longer, values)
-        assert levels < crossed < levels + GUARD_BLOCK - 5
+        assert levels < crossed < levels + BLOCK - 5
         p = unstable_problem(N=levels)
         q = solve_adjoint(every_node(p), StateField(values[:, -(p.grid.N + 2) :])).values
         q_ref = reference_adjoint(p, values[:, -(p.grid.N + 2) :])
         assert np.abs(q - q_ref).max() <= self.TOL * np.abs(q_ref).max()
-        assert marches == [GUARD_BLOCK, GUARD_BLOCK]  # neither sweep reran
+        assert marches == [BLOCK, BLOCK]  # neither sweep reran
 
 
+@pytest.mark.usefixtures("blocks_of_64")
 class TestOnePass:
     """Each sweep marches its blocks once.  The state prices each block's
     zero-start end from its control samples; the adjoint marches every block
@@ -505,7 +545,7 @@ class TestOnePass:
 
     def test_each_sweep_makes_one_pass_of_batched_steps(self, monkeypatch):
         # 21 blocks: the carry has 20 or 21 rows, the maps at most 11.
-        N = 20 * GUARD_BLOCK + 7
+        N = 20 * BLOCK + 7
         p = make_problem(T=N / 100, N=N, H=10, M=2)
         rng = np.random.default_rng(3)
         v, y0 = random_controls(p.grid, rng), rng.standard_normal(11)
@@ -514,14 +554,14 @@ class TestOnePass:
         for sweep, args in ((solve_state, (p, y0, v)), (solve_perturbation, (p, v)), (solve_adjoint, (p, y))):
             rows.clear()
             sweep(*args)
-            assert sum(n >= 20 for n in rows) == GUARD_BLOCK
+            assert sum(n >= 20 for n in rows) == BLOCK
 
     @pytest.mark.parametrize("M", [1, 8])
     def test_adjoint_where_the_transposed_stencil_has_no_ghost(self, M, monkeypatch):
         # h = 1/8, mu = 1/64, eps = -mu/h: the adjoint's hi = dt*(mu/h^2 + eps/h)
         # is exactly 0, so the responses' A^T has lo = 0 and its edges stand
         # on the folded diagonals alone.
-        N = 3 * GUARD_BLOCK + 5
+        N = 3 * BLOCK + 5
         p = make_problem(T=N / 100, mu=1 / 64, eps=-1 / 8, N=N, H=8, M=M, k1=0.7, k2=1.3)
         assert solvers._operator(p, 1.0)[2] == 0.0
         values = np.random.default_rng(M).standard_normal((9, N + 2))
@@ -531,12 +571,12 @@ class TestOnePass:
         assert priced
         assert np.abs(q - q_ref).max() <= 1e-12 * np.abs(q_ref).max()
 
-    @pytest.mark.parametrize("index", [2 * GUARD_BLOCK + 3, 3 * GUARD_BLOCK + 2])
+    @pytest.mark.parametrize("index", [2 * BLOCK + 3, 3 * BLOCK + 2])
     def test_nan_in_the_adjoint_source_raises_at_the_reference_step(self, index):
         # The step from marching index i reads the state at time N - i.  The
         # second index lies in the short last block, after every block start,
         # so only the particular peak can see it.
-        N = 3 * GUARD_BLOCK + 5
+        N = 3 * BLOCK + 5
         p = make_problem(T=N / 100, N=N, H=10, M=2)
         values = np.random.default_rng(4).standard_normal((11, N + 2))
         values[4, N - index] = np.nan
@@ -553,9 +593,9 @@ class TestOnePass:
         values[20:31, -1] = 1e-20
         marches = self.record(monkeypatch, "_march", lambda *args: args[-1])
         step = blow_up_step(solve_adjoint, p, StateField(values))
-        assert g.N - step > 2 * GUARD_BLOCK
+        assert g.N - step > 2 * BLOCK
         assert step == blow_up_step(reference_adjoint, p, values)
-        assert marches == [GUARD_BLOCK, g.N]
+        assert marches == [BLOCK, g.N]
 
     @pytest.mark.parametrize("amplitude", [1e140, 1e145, 1e149])
     def test_adjoint_blow_up_in_the_first_block(self, amplitude):
@@ -568,20 +608,20 @@ class TestOnePass:
         values[:, -1] = amplitude * (-1.0) ** np.arange(51)
         step = blow_up_step(solve_adjoint, p, StateField(values))
         assert step == blow_up_step(reference_adjoint, p, values)
-        assert g.N - step < GUARD_BLOCK
+        assert g.N - step < BLOCK
 
     def test_exact_march_decides_where_the_bound_does_not_clear(self, monkeypatch):
         # With the limit just above the true peak, the bound, which adds the
         # particular peak to the starts' growth, cannot clear it: the exact
         # march runs, passes, and the traces still match the plain loops.
-        N = 20 * GUARD_BLOCK + 7
+        N = 20 * BLOCK + 7
         p = make_problem(T=N / 100, N=N, H=10, M=2)
         values = np.random.default_rng(5).standard_normal((11, N + 2))
         q_ref = reference_adjoint(p, values)
         monkeypatch.setattr(solvers, "BLOWUP_LIMIT", np.abs(q_ref).max() * (1 + 1e-9))
         rows = self.record(monkeypatch, "_step", lambda x, *rest: len(x))
         q = solve_adjoint(p, StateField(values)).values
-        assert sum(n >= 20 for n in rows) == 2 * GUARD_BLOCK
+        assert sum(n >= 20 for n in rows) == 2 * BLOCK
         assert np.abs(q - q_ref[control_indices(p.grid)]).max() <= 1e-12 * np.abs(q_ref).max()
 
 
@@ -609,8 +649,9 @@ class TestOperator:
 
 
 class TestCarryPower:
-    """The dense (A^T)^GUARD_BLOCK is computed once per kind of sweep."""
+    """The dense (A^T)^BLOCK is computed once per kind of sweep."""
 
+    @pytest.mark.usefixtures("blocks_of_64")
     def test_computed_once_per_sweep_kind(self, monkeypatch):
         solvers._power.cache_clear()
         powers = []
@@ -623,13 +664,34 @@ class TestCarryPower:
             y = solve_state(p, rng.standard_normal(11), v)
             solve_perturbation(p, v)
             solve_adjoint(p, y)
-        assert powers == [GUARD_BLOCK, GUARD_BLOCK]  # the state's and the adjoint's
+        assert powers == [BLOCK, BLOCK]  # the state's and the adjoint's
 
     def test_is_read_only(self):
         p = make_problem(N=400, H=10, M=2)
-        power = solvers._power(solvers._operator(p, -1.0), 11, GUARD_BLOCK)
+        power = solvers._power(solvers._operator(p, -1.0), 11, BLOCK)
         with pytest.raises(ValueError):
             power[0, 0] = 0.0
+
+
+class TestBlockRule:
+    """A sweep of S levels over W nodes marches blocks of W*sqrt(S)/BLOCK_COST levels."""
+
+    @pytest.mark.parametrize("H, N, block", [(100, 4020, 28), (200, 16040, 112)])
+    def test_value_at_the_benchmark_grids(self, H, N, block, monkeypatch):
+        # The acceptance grid and the refine_h200 grid.
+        p = default_problem(H=H)
+        assert p.grid.N == N
+        marches = []
+        march = solvers._march
+        monkeypatch.setattr(solvers, "_march", lambda *args: marches.append(args[-1]) or march(*args))
+        solve_adjoint(p, solve_state(p, np.zeros(H + 1), ControlField.zeros(p.grid)))
+        assert marches == [block, block]
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.integers(1, 10**9), st.integers(2, 10**5))
+    def test_between_one_and_the_level_count(self, steps, width):
+        block = solvers._block(steps, width)
+        assert isinstance(block, int) and 1 <= block <= steps
 
 
 class TestPeakMemory:
@@ -650,9 +712,10 @@ class TestPeakMemory:
         assert peak <= self.LIMIT * q.values.nbytes
 
     def test_adjoint_traces_store_no_trajectory(self):
-        # A sweep storing every node peaks at 1.06 of a trajectory.  The
-        # first sweep of a kind also computes its cached carry power (about
-        # 0.04 of a trajectory here), so the traced sweep is the second.
+        # A sweep storing every node peaks at 1.10-1.12 of a trajectory.  The
+        # first sweep of a kind also computes its cached carry power (forming
+        # it peaks near 0.1 of a trajectory here), so the traced sweep is the
+        # second.
         p = default_problem()
         g = p.grid
         y = solve_state(p, np.random.default_rng(1).standard_normal(g.H + 1), ControlField.zeros(g))

@@ -5,8 +5,8 @@ Subcommands:
   demo-instability   print the explicit Euler trajectory of the reaction ODE
   check              validate a grid and report its stability ratio
 
-Exit codes: 0 success, 1 invalid configuration or command line (also a float overflow or
-underflow while deriving the grid; write a negative exponent-notation value as --eps=-1e-3),
+Exit codes: 0 success, 1 invalid configuration or command line (also a step, its square or the
+stable step count out of float range, each named; write a negative exponent as --eps=-1e-3),
 2 a solver failure (blow-up or CG curvature loss) in some count's row, each named on stderr,
 3 output I/O error.  A warning is one "warning: ..." line on stderr, like "error: ..." lines.
 """

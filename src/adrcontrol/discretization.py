@@ -202,7 +202,13 @@ def grid_nodes(grid):
 
 
 def stable_step_count(phys, H):
-    """Smallest N keeping the stability ratio at or below 0.5."""
+    """Smallest N keeping the stability ratio at or below 0.5.
+
+    ConfigurationError, naming T, where that N overflows a float.
+    """
     if not isinstance(H, int) or isinstance(H, bool) or H < 1:
         raise ConfigurationError("H must be an integer >= 1")
-    return max(1, math.ceil(phys.T * _rate(phys, phys.L / H) / 0.5))
+    steps = phys.T * _rate(phys, phys.L / H) / 0.5
+    if math.isinf(steps):
+        raise ConfigurationError(f"the stable step count N for T = {phys.T!r} overflows a float")
+    return max(1, math.ceil(steps))

@@ -158,24 +158,23 @@ def _terminal_norm(grid, terminal):
     return math.sqrt(grid.h * float(np.sum(terminal**2)))
 
 
-# "%.17g" in numpy.  A double x with 1e-280 < |x| < 1e280 and decimal
-# exponent E has the 17 digits D = round(|x| * 10**(16 - E)).  The product
-# p is formed in long double from powers of ten that strtold parsed from
-# decimal strings, so correctly rounded.  For -11 <= E <= 16 the power is
-# exact and p carries one rounding, while D + 1/2 is representable, so only a
-# computed fraction of exactly 1/2 can sit on the wrong side of it; otherwise
-# p is off by less than 2**-6 and a fraction within 2**-5 of 1/2 is
-# distrusted.  "%" itself, a fast path with an exact fallback as in Loitsch,
-# PLDI 2010, formats the distrusted values, those whose log10 misses E or
-# whose rounding carries to 10**17, those with trailing zeros the digit table
-# cannot strip, and zeros, subnormals, extreme magnitudes, nan and inf;
+# "%.17g" in numpy, a fast path with an exact fallback as in Loitsch, PLDI
+# 2010.  A double x with decimal exponent E has the 17 digits
+# D = round(|x| * 10**(16 - E)).  The fast path trusts only -11 <= E <= 12,
+# 1e-11 <= |x| < 1e13.  There the power is exact in long double, so the
+# product p carries one rounding while D + 1/2 is representable, and only a
+# computed fraction of exactly 1/2 can sit on the wrong side of it; and the
+# point, if any, comes before digit 13.  "%" itself formats every other
+# value: zeros, nan, inf and the rest outside the window, exact halves, those
+# whose log10 misses E or whose rounding carries to 10**17, and those whose
+# digits 13-16 are all 0, whose trailing zeros the digit table cannot strip;
 # without a 64-bit long double significand, every value.
 _WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
-_EXPONENTS = np.arange(-282, 283)  # X of 1e-280..1e280; next to them, log10 can pass an end
+_EXPONENTS = np.arange(-12, 14)  # E of 1e-11 <= |x| < 1e13; next to them, log10 can pass an end
 
 # A value's text takes 48 bytes: byte 0 the sign, 1-5 the "0." and leading
 # zeros of fixed notation below 1, 6 + 2i digit i and 7 + 2i the slot for a
-# point after it, 40-44 the exponent, 47 the newline; absent bytes are NUL.
+# point after it, 40-43 the exponent, 47 the newline; absent bytes are NUL.
 # As six uint64 words, words 1-4 hold four digits each.
 _VALUE_BYTES = 48
 
@@ -199,15 +198,14 @@ def _tables():
     for col in (6, 4, 2, 0):  # a "0" that no digit follows is a trailing zero
         trimmed[(trimmed[:, col] == ord("0")) & ~trimmed[:, col + 1 :].any(1), col] = 0
 
-    point = np.where((x >= -4) & (x < 17), x, 0)  # the digit the point follows (< 0: none)
+    point = np.where(x < -4, 0, x)  # the digit the point follows (< 0: none)
     text = np.zeros((len(x), _VALUE_BYTES), np.uint8)
     for row, e in zip(text, x.tolist()):
-        if e < -4 or e > 16:
-            exponent = b"e%+03d" % e
-            row[40 : 40 + len(exponent)] = list(exponent)
+        if e < -4:
+            row[40:44] = list(b"e%+03d" % e)
         elif e < 0:
             row[1 : 2 - e] = list(b"0." + b"0" * (-e - 1))
-    dotted = np.flatnonzero((point >= 0) & (point < 16))
+    dotted = np.flatnonzero(point >= 0)
     text[dotted, 7 + 2 * point[dotted]] = ord(".")
     text[:, -1] = ord("\n")
     return _Tables(
@@ -222,7 +220,7 @@ def _value_text(x):
     """``"%.17g\\n" % v`` of each double v in x, as NUL-padded 48-byte rows."""
     t = _tables()
     a = np.abs(x)
-    ok = (a > 1e-280) & (a < 1e280)
+    ok = (a >= 1e-11) & (a < 1e13)  # log10 can still pass an end: E is tested too
     a[~ok] = 1.0
     E = np.floor(np.log10(a)).astype(np.int16)
     X = E - _EXPONENTS[0]  # the row of E in the tables
@@ -232,9 +230,8 @@ def _value_text(x):
     frac = p.astype(np.float64)  # exact: p < 2**57 has at most 10 fraction bits
     D += frac > 0.5
     # A log10 miss or a carry leaves D without 17 digits, except a miss up
-    # rounded to 10**16, whose zeros the trailing-zero rule below distrusts.
-    margin = np.where((E >= -11) & (E <= 16), 0.0, 2.0**-5)  # 0 where 10**(16 - E) is exact
-    trust = ok & (np.abs(frac - 0.5) > margin) & (D >= 10**16) & (D < 10**17)
+    # rounded to 10**16, whose zeros the rule on digits 13-16 below distrusts.
+    trust = ok & (E >= -11) & (E <= 12) & (frac != 0.5) & (D >= 10**16) & (D < 10**17)
     trust &= _WIDE_LONG_DOUBLE
     D[~trust] = 10**16  # keeps the word lookups in range
 
@@ -247,13 +244,10 @@ def _value_text(x):
     for j, g in enumerate(groups[:3]):
         words[:, j + 1] |= t.digit_words.take(g)
     # %g strips trailing zeros after the point, and the point if bare.  The
-    # trimmed words do it where digits 13-16 follow the point and are not all
-    # 0.  Where they are all 0 or hold the point, a value ending in 0 is
-    # distrusted; one ending in another digit has no zero to strip.
-    g = groups[3]
-    words[:, 4] |= t.trimmed_words.take(g)
-    rest = np.flatnonzero((g == 0) | ((E >= 13) & (E <= 16)))
-    trust[rest[g[rest] % 10 == 0]] = False
+    # point comes before digit 13, so the trimmed words strip them where
+    # digits 13-16 are not all 0; where they are, the value is distrusted.
+    words[:, 4] |= t.trimmed_words.take(groups[3])
+    trust &= groups[3] != 0
     text = words.view(np.uint8)
     text[:, 6] = lead + 48
     text[:, 0] = np.signbit(x) * np.uint8(ord("-"))

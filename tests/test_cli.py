@@ -124,6 +124,22 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == f"error: invalid configuration: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, T",
+        [
+            # T * (2*mu/h^2 + |eps|/h) is about 2e322 and 2e311: finite factors, infinite product
+            (["--T=1e308", "--mu=1e10"], "1e+308"),
+            (["--L=1e-150", "--H", "10", "--T", "1e10"], "10000000000.0"),
+        ],
+        ids=["long-horizon", "tiny-step"],
+    )
+    def test_step_count_that_overflows_is_refused_by_name(self, capsys, argv, T):
+        assert main(["check", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"the stable step count N for T = {T} overflows a float"
+        assert captured.err == f"error: invalid configuration: {message}\n"
+
 
 @pytest.mark.parametrize(
     "argv, message",

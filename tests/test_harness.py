@@ -258,12 +258,12 @@ class TestValueText:
         assert_formats_as_percent(np.array(values))
 
     def test_every_digit_count_at_every_fixed_exponent(self):
-        # 1-17 significant digits at decimal exponents -6..18: the point
-        # falls before, at and after digit 13, and digits 13-16 are all zero,
-        # end in zeros or end in a nonzero digit.  Exponents -13..-10 cross
-        # -11, the lower end of the exponents whose power of ten is exact.
-        # The same digit counts at every 13th exponent of -279..279 take
-        # exponent notation.
+        # 1-17 significant digits at decimal exponents -13..-10 and -6..18:
+        # digits 13-16 are all zero, end in zeros or end in a nonzero digit,
+        # and the point falls before, at and after digit 13.  The fast path
+        # trusts exponents -11..12, so these cross both ends of its window;
+        # the values past them take "%".  So do the same digit counts at every
+        # 13th exponent of -279..279 but -6 and 7, mostly in exponent notation.
         rng = np.random.default_rng(16)
         exponents = [*range(-13, -9), *range(-6, 19)]
         values = [1234567890123.4, 12345678901234.5, 1.2e13, 1.2e16, 1.0000000000001e13]
@@ -298,14 +298,38 @@ class TestValueText:
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.skipif(
+        not harness._WIDE_LONG_DOUBLE, reason="only a 64-bit significand takes the fast path"
+    )
+    def test_fast_path_formats_almost_every_trajectory_value(self, monkeypatch):
+        # With wrong digit tables every value the fast path formats comes out
+        # wrong, so the exact rows are those "%" formatted: at most 1% of the
+        # H = 100 sine5 M = 4 optimum's trajectory (1,286 of 406,222 when measured).
+        p = default_problem(H=100, M=4)
+        _, report = cg_solve(p, make_initial_condition(InitialCondition("sine", frequency=5), p.grid))
+        values = report.state.values.ravel()
+        exact = harness._value_text(values)
+        tables = harness._tables()
+        wrong = tables._replace(
+            digit_words=np.zeros_like(tables.digit_words),
+            trimmed_words=np.zeros_like(tables.trimmed_words),
+        )
+        monkeypatch.setattr(harness, "_tables", lambda: wrong)
+        unchanged = np.all(harness._value_text(values) == exact, axis=1)
+        assert len(values) == 406_222 and unchanged.sum() <= 0.01 * len(values)
+
+    @pytest.mark.skipif(
         not harness._WIDE_LONG_DOUBLE, reason="the table is only read with a 64-bit significand"
     )
     def test_powers_of_ten_are_correctly_rounded(self):
+        # Where the fast path trusts E, its proof needs 10**(16 - E) exact;
+        # the padding rows next to the window are only correctly rounded.
+        trusted = range(-11, 13)
+        assert set(trusted) <= set(harness._EXPONENTS.tolist())
         for x, power in zip(harness._EXPONENTS.tolist(), harness._tables().pow10):
             mantissa, exponent = np.frexp(power)
             m, e = int(np.ldexp(mantissa, 64)), int(exponent) - 64
-            exact = Fraction(10) ** (16 - x)
-            assert abs(Fraction(m) * Fraction(2) ** e - exact) <= Fraction(2) ** e / 2, x
+            error = Fraction(m) * Fraction(2) ** e - Fraction(10) ** (16 - x)
+            assert abs(error) <= (0 if x in trusted else Fraction(2) ** e / 2), x
 
     def test_importing_and_solving_build_no_tables(self):
         # A run that writes no CSV, such as cg_solve alone, allocates none of

@@ -160,29 +160,32 @@ def _terminal_norm(grid, terminal):
 
 # "%.17g" in numpy, a fast path with an exact fallback as in Loitsch, PLDI
 # 2010.  A double x with decimal exponent E has the 17 digits
-# D = round(|x| * 10**(16 - E)).  The fast path trusts only -11 <= E <= 12,
-# 1e-11 <= |x| < 1e13.  There the power is exact in long double, so the
+# D = round(|x| * 10**(16 - E)).  The fast path trusts only -11 <= E <= 4,
+# 1e-11 <= |x| < 1e5.  There the power is exact in long double, so the
 # product p carries one rounding while D + 1/2 is representable, and only a
 # computed fraction of exactly 1/2 can sit on the wrong side of it; and the
-# point, if any, comes before digit 13.  "%" itself formats every other
-# value: zeros, nan, inf and the rest outside the window, exact halves, those
-# whose log10 misses E or whose rounding carries to 10**17, and those whose
-# digits 13-16 are all 0, whose trailing zeros the digit table cannot strip;
-# without a 64-bit long double significand, every value.
+# point, if any, follows one of digits 0-4, which have point slots.  "%"
+# formats every other value: zeros, nan, inf and the rest outside the window,
+# exact halves, those whose log10 misses E or whose rounding carries to
+# 10**17, and those whose digits 13-16 are all 0, whose trailing zeros the
+# digit table cannot strip; without a 64-bit significand, every value.
 _WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
-_EXPONENTS = np.arange(-12, 14)  # E of 1e-11 <= |x| < 1e13; next to them, log10 can pass an end
+_TRUSTED = range(-11, 5)  # the exponents E the fast path trusts
+_EXPONENTS = np.arange(_TRUSTED.start - 1, _TRUSTED.stop + 1)  # log10 can pass an end by one
 
-# A value's text takes 48 bytes: byte 0 the sign, 1-5 the "0." and leading
-# zeros of fixed notation below 1, 6 + 2i digit i and 7 + 2i the slot for a
-# point after it, 40-43 the exponent, 47 the newline; absent bytes are NUL.
-# As six uint64 words, words 1-4 hold four digits each.
-_VALUE_BYTES = 48
+# A value's text takes 32 bytes, four uint64 words: byte 0 the sign, 1-5 the
+# "0." and leading zeros of fixed notation below 1, 6 + 2i digit i and 7 + 2i
+# the slot for a point after it for i <= 4, 16-23 digits 5-12 and 24-27
+# digits 13-16 without point slots, 28-31 the exponent; absent bytes are NUL.
+# The newline is not part of it: the writer puts it before the next row.
+_VALUE_BYTES = 32
 
 
 class _Tables(NamedTuple):
     pow10: np.ndarray  # 10**(16 - E) per exponent, in long double
-    digit_words: np.ndarray  # "0000".."9999", each digit followed by a NUL
-    trimmed_words: np.ndarray  # the same with trailing zeros NUL
+    digit_words: np.ndarray  # uint64 "0000".."9999", each digit followed by a NUL
+    digit_quads: np.ndarray  # uint32 "0000".."9999"
+    trimmed_quads: np.ndarray  # the same with trailing zeros NUL
     templates: np.ndarray  # per exponent, the words of a value's text that depend on E alone
 
 
@@ -192,35 +195,37 @@ def _tables():
     CSV allocates none of them."""
     x = _EXPONENTS
     pow10 = np.fromstring(" ".join(f"1e{16 - e}" for e in x.tolist()), np.longdouble, sep=" ")
-    spaced = np.zeros((10000, 8), np.uint8)
-    spaced[:, 0::2] = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(48)
-    trimmed = spaced.copy()
-    for col in (6, 4, 2, 0):  # a "0" that no digit follows is a trailing zero
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(48)
+    quads = np.ascontiguousarray(digits)  # "0000".."9999", a row each
+    trimmed = quads.copy()
+    for col in (3, 2, 1, 0):  # a "0" that no digit follows is a trailing zero
         trimmed[(trimmed[:, col] == ord("0")) & ~trimmed[:, col + 1 :].any(1), col] = 0
+    spaced = np.zeros((10000, 8), np.uint8)
+    spaced[:, 0::2] = quads
 
-    point = np.where(x < -4, 0, x)  # the digit the point follows (< 0: none)
     text = np.zeros((len(x), _VALUE_BYTES), np.uint8)
     for row, e in zip(text, x.tolist()):
         if e < -4:
-            row[40:44] = list(b"e%+03d" % e)
+            row[28:] = list(b"e%+03d" % e)
+            e = 0  # the point follows digit 0
         elif e < 0:
             row[1 : 2 - e] = list(b"0." + b"0" * (-e - 1))
-    dotted = np.flatnonzero(point >= 0)
-    text[dotted, 7 + 2 * point[dotted]] = ord(".")
-    text[:, -1] = ord("\n")
+        if 0 <= e <= 4:
+            row[7 + 2 * e] = ord(".")
     return _Tables(
         pow10=pow10,
         digit_words=spaced.view(np.uint64).ravel(),
-        trimmed_words=trimmed.view(np.uint64).ravel(),
+        digit_quads=quads.view(np.uint32).ravel(),
+        trimmed_quads=trimmed.view(np.uint32).ravel(),
         templates=text.view(np.uint64),
     )
 
 
 def _value_text(x):
-    """``"%.17g\\n" % v`` of each double v in x, as NUL-padded 48-byte rows."""
+    """``"%.17g" % v`` of each double v in x, as NUL-padded 32-byte rows."""
     t = _tables()
     a = np.abs(x)
-    ok = (a >= 1e-11) & (a < 1e13)  # log10 can still pass an end: E is tested too
+    ok = (a >= 10.0**_TRUSTED.start) & (a < 10.0**_TRUSTED.stop)  # log10 can pass an end
     a[~ok] = 1.0
     E = np.floor(np.log10(a)).astype(np.int16)
     X = E - _EXPONENTS[0]  # the row of E in the tables
@@ -231,30 +236,32 @@ def _value_text(x):
     D += frac > 0.5
     # A log10 miss or a carry leaves D without 17 digits, except a miss up
     # rounded to 10**16, whose zeros the rule on digits 13-16 below distrusts.
-    trust = ok & (E >= -11) & (E <= 12) & (frac != 0.5) & (D >= 10**16) & (D < 10**17)
-    trust &= _WIDE_LONG_DOUBLE
-    D[~trust] = 10**16  # keeps the word lookups in range
+    trust = ok & (E >= _TRUSTED.start) & (E < _TRUSTED.stop)
+    trust &= (frac != 0.5) & (D >= 10**16) & (D < 10**17) & _WIDE_LONG_DOUBLE
+    D[~trust] = 10**16  # keeps the table lookups in range
 
     top = D // 10**8
     hi = top.astype(np.int32)  # digits 0-8
     lo = (D - top * 10**8).astype(np.int32)  # digits 9-16
     lead, q, r = hi // 10**8, hi // 10**4, lo // 10**4
-    groups = (q - lead * 10**4, hi - q * 10**4, r, lo - r * 10**4)  # digits 1-4 .. 13-16
+    last = lo - r * 10**4  # digits 13-16
     words = t.templates.take(X, axis=0)
-    for j, g in enumerate(groups[:3]):
-        words[:, j + 1] |= t.digit_words.take(g)
+    words[:, 1] |= t.digit_words.take(q - lead * 10**4)  # digits 1-4
+    quads = words.view(np.uint32)
+    quads[:, 4] = t.digit_quads.take(hi - q * 10**4)  # digits 5-8
+    quads[:, 5] = t.digit_quads.take(r)  # digits 9-12
     # %g strips trailing zeros after the point, and the point if bare.  The
-    # point comes before digit 13, so the trimmed words strip them where
+    # point comes before digit 5, so the trimmed quads strip them where
     # digits 13-16 are not all 0; where they are, the value is distrusted.
-    words[:, 4] |= t.trimmed_words.take(groups[3])
-    trust &= groups[3] != 0
+    quads[:, 6] = t.trimmed_quads.take(last)
+    trust &= last != 0
     text = words.view(np.uint8)
     text[:, 6] = lead + 48
     text[:, 0] = np.signbit(x) * np.uint8(ord("-"))
 
     slow = np.flatnonzero(~trust)
     if len(slow):
-        exact = np.array(["%.17g\n" % v for v in x[slow].tolist()], dtype=f"S{_VALUE_BYTES}")
+        exact = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=f"S{_VALUE_BYTES}")
         text[slow] = exact.view(np.uint8).reshape(len(slow), _VALUE_BYTES)
     return text
 
@@ -267,8 +274,8 @@ def _text_rows(strings):
 
 @functools.lru_cache(maxsize=4)
 def _level_labels(n_levels, dt):
-    """The text rows "n,t," of levels 0 .. n_levels - 1, read-only."""
-    heads = _text_rows(["%d,%.17g," % (n, n * dt) for n in range(n_levels)])
+    """The text rows "\\nn,t," of levels 0 .. n_levels - 1, read-only."""
+    heads = _text_rows(["\n%d,%.17g," % (n, n * dt) for n in range(n_levels)])
     heads.setflags(write=False)
     return heads
 
@@ -280,9 +287,11 @@ def _write_levels(path, header, grid, nodes, levels):
     """Write the line "n,t,i,x_j,v" for every time level n and node j = nodes[i].
 
     ``levels[n]`` holds the values of level n in node order.  Each block of
-    about _CHUNK values is laid out as NUL-padded rows "n,t," | "i,x_j," |
+    about _CHUNK values is laid out as NUL-padded rows "\\nn,t," | "i,x_j," |
     _value_text(v) in one buffer that keeps the node labels, and one
-    translate drops the padding.  Every number reads as ``_fmt(v)``.
+    translate drops the padding.  Each line's newline leads the next one, so
+    ``header`` has none and the file ends with one.  Every number reads as
+    ``_fmt(v)``.
     """
     n_levels, n_nodes = levels.shape
     x = grid_nodes(grid)
@@ -301,18 +310,19 @@ def _write_levels(path, header, grid, nodes, levels):
             used[:, :, :hw] = heads[start : start + step, None]
             used[:, :, hw + tw :] = _value_text(block.ravel()).reshape(*block.shape, -1)
             fh.write((buf if len(block) == step else buf[: used.nbytes]).translate(None, b"\0"))
+        fh.write(b"\n")
 
 
 def write_state_csv(path, problem, state):
     g = problem.grid
     y = state.checked((g.H + 1, g.N + 2))
-    _write_levels(path, "n,t,j,x,y\n", g, range(g.H + 1), y.T)
+    _write_levels(path, "n,t,j,x,y", g, range(g.H + 1), y.T)
 
 
 def write_controls_csv(path, problem, control):
     g = problem.grid
     v = control.checked((g.M + 1, g.N + 1))
-    _write_levels(path, "n,t,k,x_k,v\n", g, control_indices(g), v.T)
+    _write_levels(path, "n,t,k,x_k,v", g, control_indices(g), v.T)
 
 
 def write_convergence_csv(path, report):

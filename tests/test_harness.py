@@ -164,16 +164,16 @@ class TestWriters:
         assert list(tmp_path.iterdir()) == []
 
 
-def percent_text(values):
-    """The reference: one ``"%.17g" %`` per value, one line each."""
-    return "".join("%.17g\n" % v for v in values.tolist()).encode()
-
-
 def assert_formats_as_percent(values):
-    got = harness._value_text(values).tobytes().translate(None, b"\0")
-    if got != percent_text(values):
-        lines = got.decode().splitlines()
-        bad = [(v, g) for v, g in zip(values.tolist(), lines) if g != "%.17g" % v]
+    """Each row of _value_text, NULs dropped, reads as ``"%.17g" %`` of its own value."""
+    rows = harness._value_text(values)
+    assert rows.shape == (len(values), harness._VALUE_BYTES)
+    ended = np.concatenate([rows, np.full((len(rows), 1), ord("\n"), np.uint8)], axis=1)
+    got = ended.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    want = ["%.17g" % v for v in values.tolist()]
+    assert len(got) == len(want), "a row holds a newline"
+    if got != want:
+        bad = [(v, g) for v, g, w in zip(values.tolist(), got, want) if g != w]
         pytest.fail(f"{len(bad)} values differ from %.17g, first (value, text): {bad[:5]}")
 
 
@@ -261,7 +261,7 @@ class TestValueText:
         # 1-17 significant digits at decimal exponents -13..-10 and -6..18:
         # digits 13-16 are all zero, end in zeros or end in a nonzero digit,
         # and the point falls before, at and after digit 13.  The fast path
-        # trusts exponents -11..12, so these cross both ends of its window;
+        # trusts exponents -11..4, so these cross both ends of its window;
         # the values past them take "%".  So do the same digit counts at every
         # 13th exponent of -279..279 but -6 and 7, mostly in exponent notation.
         rng = np.random.default_rng(16)
@@ -285,7 +285,8 @@ class TestValueText:
         tables = harness._tables()
         wrong = tables._replace(
             digit_words=np.zeros_like(tables.digit_words),
-            trimmed_words=np.zeros_like(tables.trimmed_words),
+            digit_quads=np.zeros_like(tables.digit_quads),
+            trimmed_quads=np.zeros_like(tables.trimmed_quads),
         )
         monkeypatch.setattr(harness, "_tables", lambda: wrong)
         rng = np.random.default_rng(15)
@@ -311,7 +312,8 @@ class TestValueText:
         tables = harness._tables()
         wrong = tables._replace(
             digit_words=np.zeros_like(tables.digit_words),
-            trimmed_words=np.zeros_like(tables.trimmed_words),
+            digit_quads=np.zeros_like(tables.digit_quads),
+            trimmed_quads=np.zeros_like(tables.trimmed_quads),
         )
         monkeypatch.setattr(harness, "_tables", lambda: wrong)
         unchanged = np.all(harness._value_text(values) == exact, axis=1)
@@ -323,7 +325,7 @@ class TestValueText:
     def test_powers_of_ten_are_correctly_rounded(self):
         # Where the fast path trusts E, its proof needs 10**(16 - E) exact;
         # the padding rows next to the window are only correctly rounded.
-        trusted = range(-11, 13)
+        trusted = harness._TRUSTED
         assert set(trusted) <= set(harness._EXPONENTS.tolist())
         for x, power in zip(harness._EXPONENTS.tolist(), harness._tables().pow10):
             mantissa, exponent = np.frexp(power)

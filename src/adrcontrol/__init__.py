@@ -20,7 +20,6 @@ from .discretization import (
 )
 from .errors import ConfigurationError, CurvatureLossError, SolverBlowUpError
 from .harness import (
-    ComparisonRow,
     ComparisonTable,
     ExperimentSpec,
     ExperimentSummary,
@@ -49,7 +48,6 @@ __all__ = [
     "BLOWUP_LIMIT",
     "CGConfig",
     "CGReport",
-    "ComparisonRow",
     "ComparisonTable",
     "ConfigurationError",
     "ControlField",

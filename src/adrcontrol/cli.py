@@ -5,10 +5,10 @@ Subcommands:
   demo-instability   print the explicit Euler trajectory of the reaction ODE
   check              validate a grid and report its stability ratio
 
-Exit codes: 0 success, 1 invalid configuration or command line (also a step, its square or the
-stable step count out of float range, each named; write a negative exponent as --eps=-1e-3),
-2 a solver failure (blow-up or CG curvature loss) in some count's row, each named on stderr,
-3 output I/O error.  A warning is one "warning: ..." line on stderr, like "error: ..." lines.
+Exit codes: 0 success, 1 invalid configuration or command line (also a size N or H, a step, its
+square or the stable step count out of float range, each named; write a negative exponent as
+--eps=-1e-3), 2 a solver failure (blow-up or CG curvature loss) in some count's row, each named on
+stderr, 3 output I/O error.  A warning is one "warning: ..." line on stderr, like "error: ..." lines.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def _cmd_run(args, out):
     frequency = DEFAULT_FREQUENCY if sine and args.frequency is None else args.frequency
     support = None if sine and args.support is None else _parse_support(args.support, phys.L)
     ic = InitialCondition(args.ic, args.amplitude, frequency, support)
-    problem = DiscreteProblem.create(phys, n_steps, args.H, counts[0])
+    problem = DiscreteProblem(phys, n_steps, args.H, counts[0])
     cg = CGConfig(tol=args.tol, max_iter=args.max_iter)
     spec = ExperimentSpec(
         problem=problem, ic=ic, cg=cg, control_counts=counts, output_dir=args.out

@@ -4,7 +4,8 @@ The continuum problem lives on the space-time cylinder (0, L) x (0, T).  Space
 is split into H cells of width h = L/H and time into N steps of length
 dt = T/N.  Controls act through the two boundary fluxes plus M - 1 interior
 point sources at equally spaced nodes, M + 1 control signals in total, which
-forces H to be a multiple of M.
+forces H to be a multiple of M.  A DiscreteProblem builds its grid from the
+sizes N, H and M, so its steps are exactly T/N and L/H.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -102,15 +103,20 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class DiscreteProblem:
-    """A physical configuration paired with the grid that tiles it: dt = T/N, h = L/H exactly."""
+    """A physical configuration and the grid of sizes N, H, M it builds: dt = T/N, h = L/H."""
 
     phys: PhysicalConfig
-    grid: GridConfig
+    grid: GridConfig = field(init=False)
+    N: InitVar[int]
+    H: InitVar[int]
+    M: InitVar[int]
 
-    def __post_init__(self):
-        p, g = self.phys, self.grid
-        if (g.dt, g.h) != (p.T / g.N, p.L / g.H):
-            raise ConfigurationError("the steps dt and h must be exactly T/N and L/H")
+    def __post_init__(self, N, H, M):
+        p = self.phys
+        if not (isinstance(N, int) and isinstance(H, int)) or N < 1 or H < 1:
+            raise ConfigurationError("N and H must be integers >= 1")
+        g = GridConfig(N=N, H=H, M=M, dt=_step(p.T, N, "N"), h=_step(p.L, H, "H"))
+        object.__setattr__(self, "grid", g)
         # The adjoint ghost closure divides by mu - eps*h; reject near-singular setups.
         if abs(p.mu - p.eps * g.h) <= 1e-12 * p.mu:
             raise ConfigurationError(
@@ -120,10 +126,8 @@ class DiscreteProblem:
 
     @classmethod
     def create(cls, phys, N, H, M):
-        """Pair phys with the grid whose steps exactly tile (0, L) x (0, T)."""
-        if not (isinstance(N, int) and isinstance(H, int)) or N < 1 or H < 1:
-            raise ConfigurationError("N and H must be integers >= 1")
-        return cls(phys=phys, grid=GridConfig(N=N, H=H, M=M, dt=phys.T / N, h=phys.L / H))
+        """The same as DiscreteProblem(phys, N, H, M)."""
+        return cls(phys, N, H, M)
 
     @classmethod
     def for_counts(cls, phys, N, H, counts):
@@ -134,7 +138,7 @@ class DiscreteProblem:
         counts = tuple(counts)
         if not counts:
             raise ConfigurationError("control_counts must not be empty")
-        problems = tuple(cls.create(phys, N, H, m) for m in counts)
+        problems = tuple(cls(phys, N, H, m) for m in counts)
         if len(set(counts)) != len(counts):
             raise ConfigurationError(f"control_counts repeat a count: {counts}")
         return problems
@@ -148,6 +152,13 @@ def control_indices(grid):
     """
     step = grid.H // grid.M
     return [k * step for k in range(grid.M + 1)]
+
+
+def _step(extent, n, name):
+    """extent/n; ConfigurationError, naming the size n, where no float holds n."""
+    if n > sys.float_info.max:
+        raise ConfigurationError(f"{name} is too large for a float")
+    return extent / n
 
 
 def _rate(phys, h):
@@ -204,11 +215,11 @@ def grid_nodes(grid):
 def stable_step_count(phys, H):
     """Smallest N keeping the stability ratio at or below 0.5.
 
-    ConfigurationError, naming T, where that N overflows a float.
+    ConfigurationError, naming H or T, where H or that N overflows a float.
     """
     if not isinstance(H, int) or isinstance(H, bool) or H < 1:
         raise ConfigurationError("H must be an integer >= 1")
-    steps = phys.T * _rate(phys, phys.L / H) / 0.5
+    steps = phys.T * _rate(phys, _step(phys.L, H, "H")) / 0.5
     if math.isinf(steps):
         raise ConfigurationError(f"the stable step count N for T = {phys.T!r} overflows a float")
     return max(1, math.ceil(steps))

@@ -3,8 +3,8 @@
 run_experiment solves one control problem per requested control count,
 always against the same initial condition and grid, and writes per-run CSV
 data (state trajectory, control signals, convergence history) plus a
-key=value summary.  compare_controls then reduces the per-run summaries to a
-table of cost and terminal-norm figures across control counts.
+key=value summary.  compare_controls then orders the per-run summaries by
+control count in a table that prints their cost and terminal-norm figures.
 
 All floats are written with 17 significant digits, enough to round-trip
 doubles exactly, and rows are emitted in a fixed order so identical runs
@@ -33,7 +33,6 @@ __all__ = [
     "InitialCondition",
     "ExperimentSpec",
     "ExperimentSummary",
-    "ComparisonRow",
     "ComparisonTable",
     "make_initial_condition",
     "run_experiment",
@@ -430,29 +429,28 @@ def run_experiment(spec):
 
 
 @dataclass(frozen=True)
-class ComparisonRow:
-    controls: int
-    J_total: float
-    control_energy: float
-    terminal_norm: float
-    best: bool
-
-
-@dataclass(frozen=True)
 class ComparisonTable:
-    """Cross-control-count comparison; ``tie`` marks a shared minimum."""
+    """The runs of one experiment, ordered by M; ``best`` flags the rows at
+    the minimal terminal norm, and ``tie`` marks a minimum several share."""
 
     rows: tuple
-    tie: bool
+
+    @property
+    def best(self):
+        least = min(r.terminal_norm for r in self.rows)
+        return tuple(r.terminal_norm == least for r in self.rows)
+
+    @property
+    def tie(self):
+        return sum(self.best) > 1
 
     def format(self):
         header = f"{'controls':>8}  {'J_total':>14}  {'control_energy':>14}  {'terminal_norm':>14}  best"
         lines = [header]
-        for r in self.rows:
-            mark = "*" if r.best else ""
+        for r, best in zip(self.rows, self.best):
             lines.append(
-                f"{r.controls:>8}  {r.J_total:>14.6g}  {r.control_energy:>14.6g}  "
-                f"{r.terminal_norm:>14.6g}  {mark:>4}"
+                f"{r.M + 1:>8}  {r.cost.total:>14.6g}  {r.control_energy:>14.6g}  "
+                f"{r.terminal_norm:>14.6g}  {'*' if best else '':>4}"
             )
         if self.tie:
             lines.append("tie: several control counts reach the minimal terminal norm")
@@ -460,16 +458,16 @@ class ComparisonTable:
 
     def csv_lines(self):
         lines = ["controls,J_total,control_energy,terminal_norm,best"]
-        for r in self.rows:
+        for r, best in zip(self.rows, self.best):
             lines.append(
-                f"{r.controls},{_fmt(r.J_total)},{_fmt(r.control_energy)},"
-                f"{_fmt(r.terminal_norm)},{int(r.best)}"
+                f"{r.M + 1},{_fmt(r.cost.total)},{_fmt(r.control_energy)},"
+                f"{_fmt(r.terminal_norm)},{int(best)}"
             )
         return lines
 
 
 def compare_controls(summaries):
-    """Reduce per-run summaries from one experiment to a comparison table.
+    """The table of per-run summaries from one experiment, ordered by M.
 
     Requires at least two rows with equal ``base_key`` values, wherever
     they were run (eps 0.0 equals -0.0); rows of failed runs carry no
@@ -483,18 +481,4 @@ def compare_controls(summaries):
     for row in summaries:
         if row.cost is None or row.terminal_norm is None:
             raise ValueError(f"run with M={row.M} has no metrics (status {row.status})")
-
-    ordered = sorted(summaries, key=lambda row: row.M)
-    best_norm = min(row.terminal_norm for row in ordered)
-    flags = [row.terminal_norm == best_norm for row in ordered]
-    rows = tuple(
-        ComparisonRow(
-            controls=row.M + 1,
-            J_total=row.cost.total,
-            control_energy=row.control_energy,
-            terminal_norm=row.terminal_norm,
-            best=flag,
-        )
-        for row, flag in zip(ordered, flags)
-    )
-    return ComparisonTable(rows=rows, tie=sum(flags) > 1)
+    return ComparisonTable(tuple(sorted(summaries, key=lambda row: row.M)))

@@ -140,6 +140,21 @@ class TestCheck:
         message = f"the stable step count N for T = {T} overflows a float"
         assert captured.err == f"error: invalid configuration: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            # the default N needs h = L/H; a given N needs dt = T/N
+            (["--H", "1" + "0" * 400], "H"),
+            (["--H", "100", "--N", "1" + "0" * 400, "--M", "2"], "N"),
+        ],
+        ids=["default-N", "given-N"],
+    )
+    def test_size_too_large_for_a_float_is_refused_by_name(self, capsys, argv, name):
+        assert main(["check", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid configuration: {name} is too large for a float\n"
+
 
 @pytest.mark.parametrize(
     "argv, message",

@@ -681,8 +681,8 @@ class TestCompareControls:
     def test_orders_rows_and_flags_best(self, tmp_path):
         rows = run_experiment(small_spec(tmp_path / "out"))
         table = compare_controls(rows)
-        assert [r.controls for r in table.rows] == [3, 6]
-        assert [r.best for r in table.rows] == [False, True]
+        assert [r.M + 1 for r in table.rows] == [3, 6]
+        assert table.best == (False, True)
         assert not table.tie
         assert table.rows[1].terminal_norm < table.rows[0].terminal_norm
         text = table.format()
@@ -695,7 +695,22 @@ class TestCompareControls:
         rows = run_experiment(small_spec(tmp_path / "out"))
         table = compare_controls([rows[0], rows[0]])
         assert table.tie
-        assert all(r.best for r in table.rows)
+        assert all(table.best)
+
+    def test_rows_are_the_given_runs_in_count_order(self, tmp_path):
+        rows = run_experiment(small_spec(tmp_path / "out"))
+        table = compare_controls(rows[::-1])
+        assert len(table.rows) == 2
+        assert all(r is run for r, run in zip(table.rows, rows))
+
+    def test_csv_lines_print_each_run(self, tmp_path):
+        rows = run_experiment(small_spec(tmp_path / "out"))
+        table = compare_controls(rows)
+        expected = [
+            f"{r.M + 1},{_fmt(r.cost.total)},{_fmt(r.control_energy)},{_fmt(r.terminal_norm)},{int(best)}"
+            for r, best in zip(rows, (False, True))
+        ]
+        assert table.csv_lines()[1:] == expected
 
     def test_single_row_rejected(self, tmp_path):
         rows = run_experiment(small_spec(tmp_path / "out", counts=(2,)))
@@ -706,7 +721,7 @@ class TestCompareControls:
         rows_a = run_experiment(small_spec(tmp_path / "a"))
         rows_b = run_experiment(small_spec(tmp_path / "b"))
         table = compare_controls([rows_a[0], rows_b[1]])
-        assert [r.controls for r in table.rows] == [3, 6]
+        assert [r.M + 1 for r in table.rows] == [3, 6]
 
     @pytest.mark.parametrize(
         "change",
@@ -738,7 +753,7 @@ class TestCompareControls:
         rows_b = run_experiment(small_spec(tmp_path / "b", eps=-0.0))
         assert [r.cost for r in rows_a] == [r.cost for r in rows_b]
         table = compare_controls([rows_a[0], rows_b[1]])
-        assert [r.controls for r in table.rows] == [3, 6]
+        assert [r.M + 1 for r in table.rows] == [3, 6]
 
     def test_mixed_experiments_rejected(self, tmp_path):
         rows = run_experiment(small_spec(tmp_path / "a"))

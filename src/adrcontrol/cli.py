@@ -6,9 +6,10 @@ Subcommands:
   check              validate a grid and report its stability ratio
 
 Exit codes: 0 success, 1 invalid configuration or command line (also a size N or H, a step, its
-square or the stable step count out of float range, each named; write a negative exponent as
---eps=-1e-3), 2 a solver failure (blow-up or CG curvature loss) in some count's row, each named on
-stderr, 3 output I/O error.  A warning is one "warning: ..." line on stderr, like "error: ..." lines.
+square, the stable step count or the flux closure's h/mu out of float range, each named; write a
+negative exponent as --eps=-1e-3), 2 a solver failure (blow-up or CG curvature loss) in some
+count's row, each named on stderr, 3 output I/O error.  A warning is one "warning: ..." line on
+stderr, like "error: ..." lines.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ The continuum problem lives on the space-time cylinder (0, L) x (0, T).  Space
 is split into H cells of width h = L/H and time into N steps of length
 dt = T/N.  Controls act through the two boundary fluxes plus M - 1 interior
 point sources at equally spaced nodes, M + 1 control signals in total, which
-forces H to be a multiple of M.  A DiscreteProblem builds its grid from the
-sizes N, H and M, so its steps are exactly T/N and L/H.
+forces H to be a multiple of M.  A GridConfig derives its steps from its sizes
+and extents, so no caller hands in a step, and its nodes x_j = j*L/H come
+from L, not from the rounded h.
 """
 
 from __future__ import annotations
@@ -78,32 +79,36 @@ class PhysicalConfig:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Space-time grid sizes and their steps dt and h, finite normal floats (no subnormal)."""
+    """Sizes N, H, M on (0, L) x (0, T); its steps dt = T/N, h = L/H are finite normal floats."""
 
     N: int
     H: int
     M: int
-    dt: float
-    h: float
+    L: float
+    T: float
+    dt: float = field(init=False)
+    h: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("N", "H", "M"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ConfigurationError(f"{name} must be an integer >= 1")
+        _require_size("N", self.N)
+        _require_size("H", self.H)
+        if not all(isinstance(v, (int, float)) for v in (self.L, self.T)):
+            raise ConfigurationError("domain extents L and T must be numbers")
+        steps = {"dt": _step(self.T, self.N, "N"), "h": _step(self.L, self.H, "H")}
+        _require_size("M", self.M)
         if self.H % self.M != 0:
             raise ConfigurationError(
                 f"H={self.H} must be divisible by M={self.M} so control nodes land on the grid"
             )
-        for name in ("dt", "h"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= sys.float_info.min):
+        for name, v in steps.items():
+            if not (math.isfinite(v) and v >= sys.float_info.min):
                 raise ConfigurationError(f"{name} must be a positive finite normal float")
+            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)
 class DiscreteProblem:
-    """A physical configuration and the grid of sizes N, H, M it builds: dt = T/N, h = L/H."""
+    """A physical configuration and the grid GridConfig(N, H, M, L, T) it builds."""
 
     phys: PhysicalConfig
     grid: GridConfig = field(init=False)
@@ -113,11 +118,15 @@ class DiscreteProblem:
 
     def __post_init__(self, N, H, M):
         p = self.phys
-        if not (isinstance(N, int) and isinstance(H, int)) or N < 1 or H < 1:
-            raise ConfigurationError("N and H must be integers >= 1")
-        g = GridConfig(N=N, H=H, M=M, dt=_step(p.T, N, "N"), h=_step(p.L, H, "H"))
+        g = GridConfig(N, H, M, p.L, p.T)
         object.__setattr__(self, "grid", g)
-        # The adjoint ghost closure divides by mu - eps*h; reject near-singular setups.
+        # The flux closures weight the boundary controls by h/mu and the adjoint
+        # ghost closure divides by mu - eps*h; reject an infinite or near-zero one.
+        if not math.isfinite(g.h / p.mu):
+            raise ConfigurationError(
+                f"diffusion coefficient mu = {p.mu!r} is too small for h = {g.h!r}: "
+                "the flux closure's h/mu overflows a float"
+            )
         if abs(p.mu - p.eps * g.h) <= 1e-12 * p.mu:
             raise ConfigurationError(
                 f"mu - eps*h = {p.mu - p.eps * g.h:.3e} is too close to zero; "
@@ -152,6 +161,12 @@ def control_indices(grid):
     """
     step = grid.H // grid.M
     return [k * step for k in range(grid.M + 1)]
+
+
+def _require_size(name, n):
+    """ConfigurationError, naming the size, unless n is an integer >= 1."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ConfigurationError(f"{name} must be an integer >= 1")
 
 
 def _step(extent, n, name):
@@ -208,8 +223,7 @@ def check_stability(problem):
 
 def grid_nodes(grid):
     """Spatial node coordinates x_j = j*L/H for j = 0..H."""
-    L = grid.h * grid.H
-    return np.arange(grid.H + 1) * L / grid.H
+    return np.arange(grid.H + 1) * grid.L / grid.H
 
 
 def stable_step_count(phys, H):
@@ -217,8 +231,7 @@ def stable_step_count(phys, H):
 
     ConfigurationError, naming H or T, where H or that N overflows a float.
     """
-    if not isinstance(H, int) or isinstance(H, bool) or H < 1:
-        raise ConfigurationError("H must be an integer >= 1")
+    _require_size("H", H)
     steps = phys.T * _rate(phys, _step(phys.L, H, "H")) / 0.5
     if math.isinf(steps):
         raise ConfigurationError(f"the stable step count N for T = {phys.T!r} overflows a float")

@@ -91,12 +91,11 @@ class InitialCondition:
 
 def make_initial_condition(ic, grid):
     """Sample an InitialCondition on the spatial nodes of a grid."""
-    L = grid.h * grid.H
-    x = grid_nodes(grid)
+    L, x = grid.L, grid_nodes(grid)
     if ic.kind == "sine":
         return ic.amplitude * np.sin(ic.frequency * np.pi * x / L)
     a, b = ic.support
-    if b > L * (1.0 + 1e-12):
+    if b > L:
         raise ConfigurationError(f"pulse support ({a}, {b}) exceeds the domain length {L}")
     return ic.amplitude * ((x >= a) & (x <= b)).astype(float)
 

@@ -155,6 +155,28 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == f"error: invalid configuration: {name} is too large for a float\n"
 
+    @pytest.mark.parametrize(
+        "argv, mu, h",
+        [
+            # h/mu = 0.1/1e-320 overflows; so does 1e10/1e-299, with a normal mu
+            (["--H", "10", "--M", "2", "--mu", "1e-320"], "1e-320", "0.1"),
+            (["--H", "1", "--M", "1", "--L", "1e10", "--mu", "1e-299", "--eps", "0"], "1e-299", "10000000000.0"),
+        ],
+        ids=["subnormal-mu", "long-domain"],
+    )
+    def test_mu_whose_flux_closure_overflows_is_refused_by_name(self, tmp_path, capsys, argv, mu, h):
+        assert main(["check", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = (
+            f"diffusion coefficient mu = {mu} is too small for h = {h}: "
+            "the flux closure's h/mu overflows a float"
+        )
+        assert captured.err == f"error: invalid configuration: {message}\n"
+        assert main(["run", "--ic", "sine", *argv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
+        assert not any(tmp_path.iterdir())
+
 
 @pytest.mark.parametrize(
     "argv, message",

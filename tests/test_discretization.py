@@ -55,7 +55,7 @@ class TestPhysicalConfig:
 class TestGridConfig:
     @pytest.mark.parametrize("kwargs", [{"N": 0}, {"H": 0}, {"M": 0}, {"N": -3}])
     def test_rejects_nonpositive_sizes(self, kwargs):
-        base = {"N": 10, "H": 10, "M": 2, "dt": 0.1, "h": 0.1}
+        base = {"N": 10, "H": 10, "M": 2, "L": 1.0, "T": 1.0}
         base.update(kwargs)
         with pytest.raises(ConfigurationError):
             GridConfig(**base)
@@ -66,15 +66,20 @@ class TestGridConfig:
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ConfigurationError):
-            GridConfig(N=10, H=10, M=2, dt=0.0, h=0.1)
+            GridConfig(N=10, H=10, M=2, L=1.0, T=0.0)
         with pytest.raises(ConfigurationError):
-            GridConfig(N=10, H=10, M=2, dt=0.1, h=-0.1)
-        # a subnormal step is refused by name
-        tiny = sys.float_info.min / 2
+            GridConfig(N=10, H=10, M=2, L=-1.0, T=1.0)
+        # a subnormal step is refused by name: the smallest normal float over 10
+        tiny = sys.float_info.min
         with pytest.raises(ConfigurationError, match="^dt must be"):
-            GridConfig(N=10, H=10, M=2, dt=tiny, h=0.1)
+            GridConfig(N=10, H=10, M=2, L=1.0, T=tiny)
         with pytest.raises(ConfigurationError, match="^h must be"):
-            GridConfig(N=10, H=10, M=2, dt=0.1, h=tiny)
+            GridConfig(N=10, H=10, M=2, L=tiny, T=1.0)
+
+    @pytest.mark.parametrize("extents", [{"L": "1", "T": 1.0}, {"L": 1.0, "T": None}], ids=["L", "T"])
+    def test_rejects_an_extent_that_is_not_a_number(self, extents):
+        with pytest.raises(ConfigurationError, match="^domain extents L and T must be numbers$"):
+            GridConfig(N=10, H=10, M=2, **extents)
 
 
 class TestDiscreteProblem:
@@ -86,29 +91,47 @@ class TestDiscreteProblem:
     @pytest.mark.parametrize(
         "sizes, message",
         [
-            ({"N": 0, "H": 10}, "N and H must be integers >= 1"),
-            ({"N": 10, "H": 0}, "N and H must be integers >= 1"),
+            ({"N": 0, "H": 10}, "^N must be an integer >= 1"),
+            ({"N": 10, "H": 0}, "^H must be an integer >= 1"),
             ({"N": True, "H": 10}, "N must be an integer >= 1"),
+            ({"N": 10, "H": 2.5}, "^H must be an integer >= 1$"),
             ({"N": 10**400, "H": 10}, "^N is too large for a float$"),
             ({"N": 10, "H": 10**400}, "^H is too large for a float$"),
+            # M = 3 does not divide 10**400, but the size is refused first
+            ({"N": 10, "H": 10**400, "M": 3}, "^H is too large for a float$"),
             ({"N": int(sys.float_info.max) + 1, "H": 10}, "^N is too large for a float$"),
             # the largest float is a size, refused for its subnormal step T/N
             ({"N": int(sys.float_info.max), "H": 10}, "^dt must be"),
         ],
         ids=[
-            "N=0", "H=0", "N=True", "N=1e400", "H=1e400", "N-past-the-largest-float",
-            "N-the-largest-float",
+            "N=0", "H=0", "N=True", "H=2.5", "N=1e400", "H=1e400", "H=1e400-M=3",
+            "N-past-the-largest-float", "N-the-largest-float",
         ],
     )
     def test_create_rejects_bad_sizes(self, sizes, message):
         with pytest.raises(ConfigurationError, match=message):
-            DiscreteProblem.create(PhysicalConfig(), M=1, **sizes)
+            DiscreteProblem.create(PhysicalConfig(), **{"M": 1, **sizes})
 
     def test_constructor_builds_the_grid_create_builds(self):
         phys = PhysicalConfig(L=3.0, T=0.7)
         p = DiscreteProblem(phys, 70, 30, 3)
         assert p == DiscreteProblem.create(phys, 70, 30, 3)
-        assert p.grid == GridConfig(N=70, H=30, M=3, dt=0.7 / 70, h=3.0 / 30)
+        assert p.grid == GridConfig(N=70, H=30, M=3, L=3.0, T=0.7)
+        assert (p.grid.dt, p.grid.h) == (0.7 / 70, 3.0 / 30)
+
+    @pytest.mark.parametrize(
+        "phys, H, M",
+        [
+            # h/mu = 0.1/1e-320 and 1e10/1e-299 overflow; mu is a normal float in the second
+            (PhysicalConfig(mu=1e-320), 10, 2),
+            (PhysicalConfig(L=1e10, mu=1e-299, eps=0.0), 1, 1),
+        ],
+        ids=["subnormal-mu", "long-domain"],
+    )
+    def test_rejects_mu_whose_flux_closure_overflows(self, phys, H, M):
+        N = stable_step_count(phys, H)
+        with pytest.raises(ConfigurationError, match=f"^diffusion coefficient mu = {phys.mu!r} is too small"):
+            DiscreteProblem(phys, N, H, M)
 
     def test_rejects_singular_adjoint_closure(self):
         # mu = eps*h makes the adjoint ghost gain blow up
@@ -191,6 +214,16 @@ class TestGridNodes:
         assert x[-1] == 1.0
         assert x[6] == 0.6  # j*L/H avoids the 6*0.1 rounding artifact
         assert np.allclose(np.diff(x), p.grid.h, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("L", [1.0, 3.0])
+    def test_nodes_are_j_L_over_H_and_end_at_L(self, L):
+        # h*H is not L for every H (at L = 1, H = 49 gives 0.99999999999999989);
+        # eps = 0 keeps the adjoint closure regular at h = mu/eps
+        phys = PhysicalConfig(L=L, eps=0.0)
+        for H in range(1, 400):
+            x = grid_nodes(DiscreteProblem(phys, 10, H, 1).grid)
+            assert np.array_equal(x, np.arange(H + 1) * L / H), H
+            assert x[-1] == L, H
 
 
 class TestStableStepCount:

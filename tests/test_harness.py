@@ -413,6 +413,15 @@ class TestInitialCondition:
         with pytest.raises(ConfigurationError):
             make_initial_condition(ic, p.grid)
 
+    def test_pulse_support_is_checked_against_L_itself(self):
+        # at H = 49, h*H is 0.99999999999999989, not L = 1
+        p = small_problem(H=49, M=7)
+        past = InitialCondition(kind="pulse", amplitude=1.0, support=(0.4, float(np.nextafter(1.0, 2.0))))
+        with pytest.raises(ConfigurationError, match="exceeds the domain length 1.0$"):
+            make_initial_condition(past, p.grid)
+        y0 = make_initial_condition(InitialCondition(kind="pulse", amplitude=1.0, support=(0.4, 1.0)), p.grid)
+        assert y0[49] == 1.0
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -6,7 +6,7 @@ dt = T/N.  Controls act through the two boundary fluxes plus M - 1 interior
 point sources at equally spaced nodes, M + 1 control signals in total, which
 forces H to be a multiple of M.  A GridConfig derives its steps from its sizes
 and extents, so no caller hands in a step, and its nodes x_j = j*L/H come
-from L, not from the rounded h.
+from L, not from the rounded h; node H is L itself.
 """
 
 from __future__ import annotations
@@ -222,8 +222,8 @@ def check_stability(problem):
 
 
 def grid_nodes(grid):
-    """Spatial node coordinates x_j = j*L/H for j = 0..H."""
-    return np.arange(grid.H + 1) * grid.L / grid.H
+    """Spatial node coordinates x_j = j*L/H for j = 0..H-1, and x_H = L itself."""
+    return np.append(np.arange(grid.H) * grid.L / grid.H, grid.L)
 
 
 def stable_step_count(phys, H):

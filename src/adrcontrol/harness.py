@@ -313,13 +313,13 @@ def _write_levels(path, header, grid, nodes, levels):
 
 def write_state_csv(path, problem, state):
     g = problem.grid
-    y = state.checked((g.H + 1, g.N + 2))
+    y = state.checked(g)
     _write_levels(path, "n,t,j,x,y", g, range(g.H + 1), y.T)
 
 
 def write_controls_csv(path, problem, control):
     g = problem.grid
-    v = control.checked((g.M + 1, g.N + 1))
+    v = control.checked(g)
     _write_levels(path, "n,t,k,x_k,v", g, control_indices(g), v.T)
 
 

@@ -44,8 +44,8 @@ class CostBreakdown:
 def cost(problem, control, state):
     """Evaluate the cost terms for a control and the state it produced."""
     g, p = problem.grid, problem.phys
-    v = control.checked((g.M + 1, g.N + 1))
-    y = state.checked((g.H + 1, g.N + 2))
+    v = control.checked(g)
+    y = state.checked(g)
 
     control_term = 0.5 * p.k0 * g.dt * float(np.einsum("ij,ij->", v, v))
     running = y[:, : g.N + 1]
@@ -61,8 +61,7 @@ def cost(problem, control, state):
 
 def inner_product(grid, a, b):
     """Control-space inner product dt * sum_{k,n} a[k,n]*b[k,n]."""
-    shape = (grid.M + 1, grid.N + 1)
-    return grid.dt * float(np.sum(a.checked(shape) * b.checked(shape)))
+    return grid.dt * float(np.sum(a.checked(grid) * b.checked(grid)))
 
 
 def gradient(problem, control, adjoint):
@@ -72,7 +71,6 @@ def gradient(problem, control, adjoint):
     It must come from the state generated by this control for the result to
     be the gradient at v; the formula itself is affine in (v, p).
     """
-    shape = (problem.grid.M + 1, problem.grid.N + 1)
-    grad = np.multiply(problem.phys.k0, control.checked(shape))
-    grad += adjoint.checked(shape)  # in place: one array, the same two roundings
+    grad = np.multiply(problem.phys.k0, control.checked(problem.grid))
+    grad += adjoint.checked(problem.grid)  # in place: one array, the same two roundings
     return ControlField(grad)

@@ -127,28 +127,28 @@ MAP_CHUNK = 16
 
 @dataclass(frozen=True)
 class _Field:
-    """Base of the fields: a frozen float array ``values`` of 2-D shape >= (2, min_columns)."""
+    """Base of the fields: a frozen float array ``values``.  The type states
+    its shape on a grid, ``shape_on(grid)``, and each read checks it."""
 
     values: np.ndarray
-    min_columns = 1
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < self.min_columns:
-            raise ValueError(
-                f"{type(self).__name__} shape {v.shape} is not 2-D >= (2, {self.min_columns})"
-            )
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
-    def checked(self, shape):
-        """``values``, after the one check of their shape against the grid's ``shape``."""
+    @staticmethod
+    def shape_on(grid):
+        return (grid.M + 1, grid.N + 1)
+
+    def checked(self, grid):
+        """``values``, after the one check of their shape against ``shape_on(grid)``."""
+        shape = self.shape_on(grid)
         if self.values.shape != shape:
             raise ValueError(f"{type(self).__name__} {self.values.shape} is not the grid's {shape}")
         return self.values
 
 
 class ControlField(_Field):
-    """Control samples values[k, n] for signals k = 0..M at times n = 0..N, all finite."""
+    """Control values[k, n], k = 0..M, n = 0..N: finite when built, shape checked when read."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -157,13 +157,15 @@ class ControlField(_Field):
 
     @classmethod
     def zeros(cls, grid):
-        return cls(np.zeros((grid.M + 1, grid.N + 1)))
+        return cls(np.zeros(cls.shape_on(grid)))
 
 
 class StateField(_Field):
-    """State trajectory values[j, n] at nodes j = 0..H, times n = 0..N+1."""
+    """State values[j, n] at nodes j = 0..H, times n = 0..N+1: shape checked when read."""
 
-    min_columns = 2
+    @staticmethod
+    def shape_on(grid):
+        return (grid.H + 1, grid.N + 2)
 
     @property
     def interior(self):
@@ -388,7 +390,7 @@ def solve_state(problem, y0, control):
         raise ValueError(f"initial state must have shape ({H + 1},), got {y0.shape}")
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
-    v = control.checked((M + 1, N + 1))
+    v = control.checked(g)
     lo, _, hi, _, _ = op = _operator(problem, -1.0)
     weights = np.full(M + 1, dt / h)
     weights[0], weights[M] = lo * (h / mu), hi * (h / mu)
@@ -424,7 +426,7 @@ def solve_adjoint(problem, state):
     H, N, h, dt = g.H, g.N, g.h, g.dt
     mu, eps = p.mu, p.eps
 
-    y = state.checked((H + 1, N + 2))
+    y = state.checked(g)
     op = _operator(problem, 1.0, (mu / (mu - eps * h), (mu - eps * h) / mu))
     keep = control_indices(g)
 

@@ -215,15 +215,17 @@ class TestGridNodes:
         assert x[6] == 0.6  # j*L/H avoids the 6*0.1 rounding artifact
         assert np.allclose(np.diff(x), p.grid.h, rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("L", [1.0, 3.0])
+    @pytest.mark.parametrize("L", [0.7, 1.0, 3.0])
     def test_nodes_are_j_L_over_H_and_end_at_L(self, L):
-        # h*H is not L for every H (at L = 1, H = 49 gives 0.99999999999999989);
-        # eps = 0 keeps the adjoint closure regular at h = mu/eps
+        # h*H is not L for every H (at L = 1, H = 49 gives 0.99999999999999989),
+        # nor is (H*L)/H: at L = 0.7 it misses L at 26 of these H and lies
+        # above it at H = 187, 369, 374 and 379.  eps = 0 keeps the adjoint
+        # closure regular at h = mu/eps
         phys = PhysicalConfig(L=L, eps=0.0)
         for H in range(1, 400):
             x = grid_nodes(DiscreteProblem(phys, 10, H, 1).grid)
-            assert np.array_equal(x, np.arange(H + 1) * L / H), H
-            assert x[-1] == L, H
+            assert x[:-1].tobytes() == (np.arange(H) * L / H).tobytes(), H
+            assert x[-1] == L and x.max() <= L, H
 
 
 class TestStableStepCount:

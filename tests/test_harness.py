@@ -150,6 +150,13 @@ class TestWriters:
                 fast, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
                 assert fast.read_bytes() == ref.read_bytes(), (N, T, name)
 
+    def test_right_control_sits_at_L(self, tmp_path):
+        # at L = 0.7, H = 187, (H*L)/H is 0.70000000000000007, above L
+        p = DiscreteProblem.create(PhysicalConfig(L=0.7), N=3, H=187, M=11)
+        write_controls_csv(tmp_path / "controls.csv", p, ControlField.zeros(p.grid))
+        _, rows = read_table(tmp_path / "controls.csv")
+        assert rows[-1][2:4] == ["11", _fmt(0.7)]
+
     @pytest.mark.parametrize("N", [4, 10])
     def test_field_of_another_grid_writes_no_file(self, tmp_path, N):
         # Same H and M, another N: without the check the control file would
@@ -421,6 +428,12 @@ class TestInitialCondition:
             make_initial_condition(past, p.grid)
         y0 = make_initial_condition(InitialCondition(kind="pulse", amplitude=1.0, support=(0.4, 1.0)), p.grid)
         assert y0[49] == 1.0
+
+    def test_pulse_to_L_marks_the_last_node(self):
+        # at L = 0.7, H = 187, (H*L)/H is 0.70000000000000007, above L
+        p = DiscreteProblem.create(PhysicalConfig(L=0.7), N=10, H=187, M=11)
+        y0 = make_initial_condition(InitialCondition(kind="pulse", support=(0.5, 0.7)), p.grid)
+        assert y0[187] == 10.0
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -10,6 +10,7 @@ from adrcontrol import (
     SolverBlowUpError,
     cfl_ratio,
     control_indices,
+    cost,
     gradient,
     inner_product,
     solve_adjoint,
@@ -17,6 +18,7 @@ from adrcontrol import (
     solve_state,
 )
 from adrcontrol import solvers
+from adrcontrol.harness import write_controls_csv, write_state_csv
 from adrcontrol.solvers import BLOWUP_LIMIT, AdjointField, StateField
 
 from conftest import default_problem, make_problem, smooth_probe_set, traced_peak
@@ -122,6 +124,30 @@ def blow_up_step(solve, *args):
     return info.value.step
 
 
+def field_readers(problem, tmp_path):
+    """Every reader of each field type, as a call on a field in that type's
+    place beside well-shaped fields of ``problem``'s grid."""
+    g = problem.grid
+    v, y0 = ControlField.zeros(g), np.zeros(g.H + 1)
+    y, a = (cls(np.zeros(cls.shape_on(g))) for cls in (StateField, AdjointField))
+    return {
+        ControlField: {
+            "solve_state": lambda f: solve_state(problem, y0, f),
+            "cost": lambda f: cost(problem, f, y),
+            "inner_product(a, .)": lambda f: inner_product(g, f, v),
+            "inner_product(., b)": lambda f: inner_product(g, v, f),
+            "gradient": lambda f: gradient(problem, f, a),
+            "write_controls_csv": lambda f: write_controls_csv(tmp_path / "controls.csv", problem, f),
+        },
+        StateField: {
+            "solve_adjoint": lambda f: solve_adjoint(problem, f),
+            "cost": lambda f: cost(problem, v, f),
+            "write_state_csv": lambda f: write_state_csv(tmp_path / "state.csv", problem, f),
+        },
+        AdjointField: {"gradient": lambda f: gradient(problem, v, f)},
+    }
+
+
 class TestFields:
     @pytest.mark.parametrize(
         "field, values",
@@ -136,9 +162,31 @@ class TestFields:
             (ControlField, np.array([[0.0, 0.0], [np.inf, 0.0]])),
         ],
     )
-    def test_rejects_invalid_arrays(self, field, values):
-        with pytest.raises(ValueError):
-            field(values)
+    def test_rejects_invalid_arrays(self, tmp_path, field, values):
+        # Non-finite controls are refused when built; a shape, by every
+        # reader of the field, before a writer opens its file.
+        if not np.all(np.isfinite(values)):
+            with pytest.raises(ValueError, match="^control values must be finite$"):
+                field(values)
+            return
+        p = make_problem(N=6, H=4, M=2)
+        bad = field(values)
+        expected = f"{field.__name__} {values.shape} is not the grid's {field.shape_on(p.grid)}"
+        for name, read in field_readers(p, tmp_path)[field].items():
+            with pytest.raises(ValueError) as raised:
+                read(bad)
+            assert str(raised.value) == expected, name
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "field, shape",
+        [(ControlField, (3, 7)), (StateField, (5, 8)), (AdjointField, (3, 7))],
+    )
+    def test_shape_on_the_grid(self, field, shape):
+        # N = 6 steps, H = 4 cells, M = 2: 3 controls, 5 nodes, 7 control and 8 state levels
+        g = make_problem(N=6, H=4, M=2).grid
+        assert field.shape_on(g) == shape
+        assert field(np.zeros(shape)).checked(g).shape == shape
 
 
 class TestSolveState:
